@@ -19,17 +19,15 @@ from .errors import (
 )
 from .evaluate import (
     ErrorStats,
-    SpaceTimeComparison,
     SweepRow,
     primary_error_stats,
     secondary_error_stats,
     secondary_theoretical_max,
-    space_time_comparison,
     sweep,
     sweep_csv_lines,
     write_sweep_csv,
 )
-from .mg import MgSummary, OffsetMgSummary
+from .mg import MgSummary
 from .oracle import (
     ExactChh,
     ExactCounts,
@@ -59,12 +57,10 @@ __all__ = [
     "InvalidParameterError",
     "MalformedLineError",
     "MgSummary",
-    "OffsetMgSummary",
     "PrimaryEntry",
     "ReportedPrimary",
     "ResourceLimitError",
     "SnapshotFormatError",
-    "SpaceTimeComparison",
     "SweepRow",
     "TsvTupleSource",
     "TupleRecord",
@@ -86,7 +82,6 @@ __all__ = [
     "sketch_from_bytes",
     "sketch_to_bytes",
     "solve_params",
-    "space_time_comparison",
     "sweep",
     "sweep_csv_lines",
     "to_fraction",

@@ -25,7 +25,7 @@ from .oracle import exact_chh_multipass, exact_chh_naive
 from .params import ChhParams, solve_params, to_fraction
 from .sketch import ChhReport, ChhSketch
 from .snapshot import load_sketch, save_sketch
-from .tsv import TsvTupleSource, stdin_tuples, write_tuples
+from .tsv import TsvTupleSource, write_tuples
 from .workload import ZipfWorkloadSpec, generate_zipf
 
 EXIT_OK = 0
@@ -131,18 +131,17 @@ def _build_params(args) -> ChhParams:
     return solve_params(phi1, phi2, eps1, eps2)
 
 
+def _warn_skipped(source: TsvTupleSource) -> None:
+    if source.skipped_lines:
+        print(f"warning: skipped {source.skipped_lines} malformed line(s)", file=sys.stderr)
+
+
 def _cmd_build(args) -> int:
     params = _build_params(args)
     sketch = ChhSketch(params)
-    if args.input is None:
-        sketch.consume(stdin_tuples(strict=args.strict))
-        skipped = 0
-    else:
-        source = TsvTupleSource(args.input, strict=args.strict)
-        sketch.consume(source)
-        skipped = source.skipped_lines
-    if skipped:
-        print(f"warning: skipped {skipped} malformed line(s)", file=sys.stderr)
+    source = TsvTupleSource(args.input, strict=args.strict)
+    sketch.consume(source)
+    _warn_skipped(source)
     if not params.constraints_satisfied():
         print(
             "warning: table sizes do not meet the feasibility constraints; "
@@ -198,6 +197,7 @@ def _cmd_exact(args) -> int:
         result = exact_chh_naive(source, args.phi1, args.phi2)
     else:
         result = exact_chh_multipass(source, args.phi1, args.phi2)
+    _warn_skipped(source)
     out = sys.stdout.buffer
     for d, s, count in result.sorted_pairs():
         out.write(b"(%s,%s) %d\n" % (d, s, count))
@@ -224,6 +224,7 @@ def _cmd_evaluate(args) -> int:
         _parse_int_list(args.s1_list, "--s1-list"),
         _parse_int_list(args.s2_list, "--s2-list"),
     )
+    _warn_skipped(source)
     write_sweep_csv(rows, args.out)
     return EXIT_OK
 

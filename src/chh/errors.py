@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, plus its positive-integer check.
 
 The CLI maps these onto exit codes: parameter problems are usage errors,
 malformed input and inconsistent artifacts are data errors, and blown
@@ -37,3 +37,9 @@ class InconsistentInputError(ChhError, ValueError):
 
 class SnapshotFormatError(ChhError, ValueError):
     """A sketch snapshot is truncated, corrupt, or of an unknown version."""
+
+
+def check_positive_int(value: int, name: str) -> None:
+    """Reject anything but a positive ``int`` (``bool`` included) for ``name``."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise InvalidParameterError(f"{name} must be a positive integer, got {value!r}")

@@ -9,10 +9,9 @@ parameters: 1/s1 for primaries, and 1/s2 + 1/((phi1 - eps1) s1) for pairs.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import IO, Iterable, Literal, Sequence, Union
+from typing import IO, Iterable, Sequence, Union
 
 from pathlib import Path
 
@@ -22,13 +21,10 @@ from .oracle import (
     ExactCounts,
     TupleSource,
     exact_chh_multipass,
-    exact_counts_naive,
     require_replayable,
 )
 from .params import ChhParams, FractionLike, to_fraction
 from .sketch import ChhSketch
-
-TheoryDenominator = Literal["phi1-eps1", "phi1"]
 
 ErrorItem = Union[bytes, tuple[bytes, bytes]]
 
@@ -86,25 +82,13 @@ def primary_error_stats(
     return _finish(errors, Fraction(1, sketch.params.s1))
 
 
-def secondary_theoretical_max(
-    params: ChhParams, denominator: TheoryDenominator = "phi1-eps1"
-) -> Fraction:
+def secondary_theoretical_max(params: ChhParams) -> Fraction:
     """Ceiling for the pair error statistic: 1/s2 plus the outer-shed share.
 
-    The outer-table share divides by phi1 - eps1 by default (any reported
-    primary's true count is at least that fraction of n); dividing by the
-    larger phi1 gives the slightly tighter ceiling that only covers exact
-    heavy primaries.
+    The outer-table share divides by phi1 - eps1, because any reported
+    primary's true count is at least that fraction of n.
     """
-    if denominator == "phi1-eps1":
-        rate = params.phi1 - params.eps1
-    elif denominator == "phi1":
-        rate = params.phi1
-    else:
-        raise InvalidParameterError(
-            f"denominator must be 'phi1-eps1' or 'phi1', got {denominator!r}"
-        )
-    return Fraction(1, params.s2) + 1 / (rate * params.s1)
+    return Fraction(1, params.s2) + 1 / ((params.phi1 - params.eps1) * params.s1)
 
 
 def secondary_error_stats(
@@ -112,7 +96,6 @@ def secondary_error_stats(
     sketch: ChhSketch,
     phi1: FractionLike,
     phi2: FractionLike,
-    denominator: TheoryDenominator = "phi1-eps1",
 ) -> ErrorStats:
     """Relative undercount (f_{d,s} - est_{d,s})/f_d over the exact heavy pairs."""
     _check_same_stream(exact, sketch)
@@ -126,7 +109,7 @@ def secondary_error_stats(
         if fd is None or not count > phi2 * fd:
             continue
         errors.append(((d, s), Fraction(count - sketch.estimate_pair(d, s), fd)))
-    return _finish(errors, secondary_theoretical_max(sketch.params, denominator))
+    return _finish(errors, secondary_theoretical_max(sketch.params))
 
 
 @dataclass
@@ -149,7 +132,6 @@ def sweep(
     s1_values: Sequence[int],
     s2_values: Sequence[int],
     oracle: ExactChh | None = None,
-    denominator: TheoryDenominator = "phi1-eps1",
 ) -> list[SweepRow]:
     """Build one sketch per (s1, s2) pair against a single shared oracle run.
 
@@ -177,9 +159,7 @@ def sweep(
                     s2=s2,
                     n=sketch.n,
                     primary=primary_error_stats(oracle.counts, sketch, phi1),
-                    secondary=secondary_error_stats(
-                        oracle.counts, sketch, phi1, phi2, denominator
-                    ),
+                    secondary=secondary_error_stats(oracle.counts, sketch, phi1, phi2),
                     reported_primaries=len(report.primaries),
                     reported_pairs=sum(len(p.secondaries) for p in report.primaries),
                 )
@@ -226,41 +206,3 @@ def write_sweep_csv(rows: Iterable[SweepRow], destination: str | Path | IO[bytes
         Path(destination).write_bytes(payload)
     else:
         destination.write(payload)
-
-
-@dataclass
-class SpaceTimeComparison:
-    """Scaled-down cost comparison of full counting vs the sketch.
-
-    ``*_stored_pairs`` counts distinct (primary, secondary) pairs held at the
-    end, the same space measure for both sides. Wall-clock numbers are
-    indicative only; no tolerance is attached to them anywhere.
-    """
-
-    n: int
-    naive_seconds: float
-    sketch_seconds: float
-    naive_stored_pairs: int
-    sketch_stored_pairs: int
-
-
-def space_time_comparison(
-    source: TupleSource, params: ChhParams, max_tuples: int = 100_000_000
-) -> SpaceTimeComparison:
-    require_replayable(source)
-    start = time.perf_counter()
-    counts = exact_counts_naive(source, max_tuples)
-    naive_seconds = time.perf_counter() - start
-
-    sketch = ChhSketch(params)
-    start = time.perf_counter()
-    sketch.consume(source)
-    sketch_seconds = time.perf_counter() - start
-
-    return SpaceTimeComparison(
-        n=counts.n,
-        naive_seconds=naive_seconds,
-        sketch_seconds=sketch_seconds,
-        naive_stored_pairs=len(counts.pairs),
-        sketch_stored_pairs=sum(len(entry.inner) for _, entry in sketch.entries()),
-    )

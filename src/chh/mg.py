@@ -1,4 +1,4 @@
-"""Bounded keyed counter summaries for one-dimensional frequent-item estimation.
+"""A bounded keyed counter summary for one-dimensional frequent-item estimation.
 
 `MgSummary` keeps at most ``capacity`` (key, count) pairs over opaque byte
 string keys. When an insert pushes the table past capacity, every count is
@@ -9,27 +9,16 @@ more than ``items_seen / (capacity + 1)`` below it: each shed round removes
 one unit from ``capacity + 1`` counters at once, and the total shed mass
 cannot exceed the total inserted mass.
 
-`MgSummary` performs the shed round eagerly, touching every stored entry; it
-is the reference behaviour that everything else must match. `OffsetMgSummary`
-keeps a shared offset and a lazy eviction heap instead, which makes the shed
-round cheap, and is guaranteed (and tested) to hold entries identical to the
-eager form after every update sequence. The nested two-dimensional sketch
-sticks with the eager form because it also needs single-entry decrements,
-which a shared offset cannot express.
+The shed round is eager: it touches every stored entry, so an update costs
+O(capacity) when it sheds and O(1) otherwise. The nested two-dimensional
+sketch also needs the single-entry decrement `decrement_least_key`, which
+finds the smallest retained key with ``min()`` and so costs O(capacity) on
+every call.
 """
 
 from __future__ import annotations
 
-import heapq
-
-from .errors import InvalidParameterError
-
-
-def _check_capacity(capacity: int) -> None:
-    if not isinstance(capacity, int) or isinstance(capacity, bool) or capacity < 1:
-        raise InvalidParameterError(
-            f"capacity must be a positive integer, got {capacity!r}"
-        )
+from .errors import check_positive_int
 
 
 class MgSummary:
@@ -45,7 +34,7 @@ class MgSummary:
     __slots__ = ("capacity", "items_seen", "sweeps", "_entries", "_total")
 
     def __init__(self, capacity: int):
-        _check_capacity(capacity)
+        check_positive_int(capacity, "capacity")
         self.capacity = capacity
         self.items_seen = 0
         self.sweeps = 0
@@ -127,64 +116,3 @@ class MgSummary:
         else:
             entries[key] = count - 1
         self._total -= 1
-
-
-class OffsetMgSummary:
-    """Shared-offset variant of `MgSummary` with identical observable state.
-
-    Stores each key's count plus the offset that was current at bookkeeping
-    time; a shed round just bumps the offset. A min-heap of (stored value,
-    key) rows finds keys whose effective count reached zero; rows whose
-    stored value no longer matches the live table are stale and skipped.
-    """
-
-    __slots__ = ("capacity", "items_seen", "sweeps", "_values", "_offset", "_heap")
-
-    def __init__(self, capacity: int):
-        _check_capacity(capacity)
-        self.capacity = capacity
-        self.items_seen = 0
-        self.sweeps = 0
-        self._values: dict[bytes, int] = {}
-        self._offset = 0
-        self._heap: list[tuple[int, bytes]] = []
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    def update(self, key: bytes) -> None:
-        self.items_seen += 1
-        values = self._values
-        stored = values.get(key)
-        if stored is not None:
-            stored += 1
-            values[key] = stored
-            heapq.heappush(self._heap, (stored, key))
-            return
-        stored = self._offset + 1
-        values[key] = stored
-        heapq.heappush(self._heap, (stored, key))
-        if len(values) > self.capacity:
-            self._offset += 1
-            self.sweeps += 1
-            heap = self._heap
-            offset = self._offset
-            while heap and heap[0][0] <= offset:
-                value, candidate = heapq.heappop(heap)
-                if values.get(candidate) == value:
-                    del values[candidate]
-        if len(self._heap) > 4 * len(values) + 16:
-            self._heap = [(v, k) for k, v in values.items()]
-            heapq.heapify(self._heap)
-
-    def estimate(self, key: bytes) -> int:
-        stored = self._values.get(key)
-        return 0 if stored is None else stored - self._offset
-
-    def entries(self) -> list[tuple[bytes, int]]:
-        offset = self._offset
-        return sorted((k, v - offset) for k, v in self._values.items())
-
-    def total(self) -> int:
-        offset = self._offset
-        return sum(self._values.values()) - offset * len(self._values)

@@ -13,13 +13,9 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import (
-    InvalidParameterError,
-    ResourceLimitError,
-    UnsupportedSourceError,
-)
+from .errors import ResourceLimitError, UnsupportedSourceError
 from .mg import MgSummary
-from .params import FractionLike, to_fraction
+from .params import FractionLike, to_thresholds
 
 TupleSource = Iterable[tuple[bytes, bytes]]
 
@@ -66,16 +62,6 @@ def require_replayable(source: TupleSource) -> None:
         )
 
 
-def _check_phi(phi1: FractionLike, phi2: FractionLike):
-    phi1 = to_fraction(phi1, "phi1")
-    phi2 = to_fraction(phi2, "phi2")
-    if not 0 < phi1 < 1:
-        raise InvalidParameterError(f"phi1 must lie in (0, 1), got {phi1}")
-    if not 0 < phi2 < 1:
-        raise InvalidParameterError(f"phi2 must lie in (0, 1), got {phi2}")
-    return phi1, phi2
-
-
 def exact_counts_naive(
     source: TupleSource, max_tuples: int = DEFAULT_TUPLE_CAP
 ) -> ExactCounts:
@@ -103,7 +89,7 @@ def exact_chh_from_counts(
     counts: ExactCounts, phi1: FractionLike, phi2: FractionLike
 ) -> ExactChh:
     """Apply the strict heavy-hitter definitions directly to exact counts."""
-    phi1, phi2 = _check_phi(phi1, phi2)
+    phi1, phi2 = to_thresholds(phi1, phi2)
     n = counts.n
     heavy = {d: c for d, c in counts.primary.items() if c > phi1 * n}
     heavy_pairs = {
@@ -135,7 +121,7 @@ def exact_chh_multipass(
     ceil(1/phi2) summary each, all filled in a single pass). Pass 4 counts
     the candidate pairs exactly and applies the strict pair threshold.
     """
-    phi1, phi2 = _check_phi(phi1, phi2)
+    phi1, phi2 = to_thresholds(phi1, phi2)
     require_replayable(source)
 
     candidates = MgSummary(math.ceil(1 / phi1))

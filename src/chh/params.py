@@ -13,7 +13,7 @@ from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from typing import Literal, Union
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, check_positive_int
 
 FractionLike = Union[Fraction, int, float, str]
 
@@ -45,9 +45,22 @@ def to_fraction(value: FractionLike, name: str = "value") -> Fraction:
     raise InvalidParameterError(f"cannot interpret {name}={value!r} as a rational")
 
 
-def _check_table_size(value: int, name: str) -> None:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise InvalidParameterError(f"{name} must be a positive integer, got {value!r}")
+def to_thresholds(phi1: FractionLike, phi2: FractionLike) -> tuple[Fraction, Fraction]:
+    """Convert both heavy-hitter fractions and check that each lies in (0, 1)."""
+    phi1 = to_fraction(phi1, "phi1")
+    phi2 = to_fraction(phi2, "phi2")
+    if not 0 < phi1 < 1:
+        raise InvalidParameterError(f"phi1 must lie in (0, 1), got {phi1}")
+    if not 0 < phi2 < 1:
+        raise InvalidParameterError(f"phi2 must lie in (0, 1), got {phi2}")
+    return phi1, phi2
+
+
+def _check_eps1(eps1: Fraction, phi1: Fraction) -> None:
+    if not 0 < eps1 <= phi1 / 2:
+        raise InvalidParameterError(
+            f"eps1 must satisfy 0 < eps1 <= phi1/2 = {phi1 / 2}, got {eps1}"
+        )
 
 
 @dataclass(frozen=True)
@@ -71,18 +84,12 @@ class ChhParams:
     def __post_init__(self):
         for field in ("phi1", "phi2", "eps1", "eps2"):
             object.__setattr__(self, field, to_fraction(getattr(self, field), field))
-        if not 0 < self.phi1 < 1:
-            raise InvalidParameterError(f"phi1 must lie in (0, 1), got {self.phi1}")
-        if not 0 < self.phi2 < 1:
-            raise InvalidParameterError(f"phi2 must lie in (0, 1), got {self.phi2}")
-        if not 0 < self.eps1 <= self.phi1 / 2:
-            raise InvalidParameterError(
-                f"eps1 must satisfy 0 < eps1 <= phi1/2 = {self.phi1 / 2}, got {self.eps1}"
-            )
+        to_thresholds(self.phi1, self.phi2)
+        _check_eps1(self.eps1, self.phi1)
         if self.eps2 <= 0:
             raise InvalidParameterError(f"eps2 must be positive, got {self.eps2}")
-        _check_table_size(self.s1, "s1")
-        _check_table_size(self.s2, "s2")
+        check_positive_int(self.s1, "s1")
+        check_positive_int(self.s2, "s2")
 
     @classmethod
     def from_raw(
@@ -96,14 +103,9 @@ class ChhParams:
         constraint checks below then report whether those implied tolerances
         are admissible, rather than refusing to build the sketch.
         """
-        phi1 = to_fraction(phi1, "phi1")
-        phi2 = to_fraction(phi2, "phi2")
-        if not 0 < phi1 < 1:
-            raise InvalidParameterError(f"phi1 must lie in (0, 1), got {phi1}")
-        if not 0 < phi2 < 1:
-            raise InvalidParameterError(f"phi2 must lie in (0, 1), got {phi2}")
-        _check_table_size(s1, "s1")
-        _check_table_size(s2, "s2")
+        phi1, phi2 = to_thresholds(phi1, phi2)
+        check_positive_int(s1, "s1")
+        check_positive_int(s2, "s2")
         eps1 = min(Fraction(1, s1), phi1 / 2)
         alpha = (1 + phi2) / (phi1 - eps1)
         eps2 = Fraction(1, s2) + alpha / s1
@@ -159,18 +161,10 @@ def solve_params(
     Sizes are rounded up to integers; rounding can only slacken the
     constraints, but a repair loop guards the second one anyway.
     """
-    phi1 = to_fraction(phi1, "phi1")
-    phi2 = to_fraction(phi2, "phi2")
+    phi1, phi2 = to_thresholds(phi1, phi2)
     eps1 = to_fraction(eps1, "eps1")
     eps2 = to_fraction(eps2, "eps2")
-    if not 0 < phi1 < 1:
-        raise InvalidParameterError(f"phi1 must lie in (0, 1), got {phi1}")
-    if not 0 < phi2 < 1:
-        raise InvalidParameterError(f"phi2 must lie in (0, 1), got {phi2}")
-    if not 0 < eps1 <= phi1 / 2:
-        raise InvalidParameterError(
-            f"eps1 must satisfy 0 < eps1 <= phi1/2 = {phi1 / 2}, got {eps1}"
-        )
+    _check_eps1(eps1, phi1)
     if not 0 < eps2 <= phi2:
         raise InvalidParameterError(
             f"eps2 must satisfy 0 < eps2 <= phi2 = {phi2}, got {eps2}"

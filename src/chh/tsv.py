@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 from typing import IO, Iterable, Iterator, NamedTuple
 
-from .errors import InvalidParameterError, MalformedLineError
+from .errors import InvalidParameterError, MalformedLineError, UnsupportedSourceError
 
 
 class TupleRecord(NamedTuple):
@@ -32,25 +33,35 @@ def parse_tuple_line(line: bytes, line_number: int = 0) -> TupleRecord:
 
 
 class TsvTupleSource:
-    """Replayable tuple stream over a tab-separated file.
+    """Tuple stream over a tab-separated file, or over stdin when ``path`` is None.
 
-    Each iteration opens the file fresh, so multi-pass consumers can replay
-    it. In lenient mode (the default) malformed lines are skipped and counted
-    in ``skipped_lines``, which resets at the start of every pass; strict
-    mode raises at the offending line instead.
+    Each iteration of a file source opens the file fresh, so multi-pass
+    consumers can replay it. Stdin can be read only once: a second iteration
+    raises `UnsupportedSourceError` instead of yielding an empty stream. In
+    lenient mode (the default) malformed lines are skipped and counted in
+    ``skipped_lines``, which resets at the start of every pass; strict mode
+    raises at the offending line instead.
     """
 
-    def __init__(self, path: str | Path, strict: bool = False):
-        self.path = Path(path)
+    def __init__(self, path: str | Path | None, strict: bool = False):
+        self.path = None if path is None else Path(path)
         self.strict = strict
         self.skipped_lines = 0
+        self._stdin_read = False
 
     def __iter__(self) -> Iterator[TupleRecord]:
+        if self.path is None:
+            if self._stdin_read:
+                raise UnsupportedSourceError(
+                    "stdin can be read only once; pass a file for multi-pass use"
+                )
+            self._stdin_read = True
         self.skipped_lines = 0
         return self._scan()
 
     def _scan(self) -> Iterator[TupleRecord]:
-        with open(self.path, "rb") as handle:
+        opened = nullcontext(sys.stdin.buffer) if self.path is None else open(self.path, "rb")
+        with opened as handle:
             number = 0
             for raw in handle:
                 number += 1
@@ -60,18 +71,6 @@ class TsvTupleSource:
                     if self.strict:
                         raise
                     self.skipped_lines += 1
-
-
-def iter_tuple_lines(handle: IO[bytes], strict: bool = False) -> Iterator[TupleRecord]:
-    """Single-pass tuple stream over an open binary handle (e.g. stdin)."""
-    number = 0
-    for raw in handle:
-        number += 1
-        try:
-            yield parse_tuple_line(raw, number)
-        except MalformedLineError:
-            if strict:
-                raise
 
 
 def write_tuples(
@@ -103,7 +102,3 @@ def write_tuples(
         if own:
             handle.close()
     return count
-
-
-def stdin_tuples(strict: bool = False) -> Iterator[TupleRecord]:
-    return iter_tuple_lines(sys.stdin.buffer, strict=strict)

@@ -10,7 +10,6 @@ inner-mass invariant is checked after every single update on the 10^5
 streams. All comparisons run in exact integer or rational arithmetic.
 """
 
-import random
 import subprocess
 import sys
 from dataclasses import dataclass, field
@@ -21,8 +20,6 @@ import pytest
 from chh import (
     ChhParams,
     ChhSketch,
-    MgSummary,
-    OffsetMgSummary,
     ZipfWorkloadSpec,
     exact_chh_multipass,
     exact_chh_naive,
@@ -372,20 +369,6 @@ def test_determinism_and_snapshot_fidelity(tmp_path):
             "--s1-list", "100,200", "--s2-list", "20", "--out", str(out))
     cli_ok &= csv_a.read_bytes() == csv_b.read_bytes()
 
-    # optimized inner-table implementation matches the eager reference
-    rng = random.Random(881)
-    eager, lazy = MgSummary(9), OffsetMgSummary(9)
-    equivalence_ok = True
-    for _ in range(10_000):
-        key = str(rng.randrange(60)).encode()
-        eager.update(key)
-        lazy.update(key)
-        if lazy.entries() != eager.entries():
-            equivalence_ok = False
-            break
-    equivalence_ok &= lazy.items_seen == eager.items_seen
-
-    _emit("determinism-and-fidelity", roundtrip_ok and cli_ok and equivalence_ok)
+    _emit("determinism-and-fidelity", roundtrip_ok and cli_ok)
     assert roundtrip_ok
     assert cli_ok
-    assert equivalence_ok

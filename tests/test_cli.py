@@ -156,19 +156,38 @@ def test_cli_report_matches_in_memory_build(tmp_path):
     assert via_cli == _format_report_text(sketch.report())
 
 
-def test_malformed_lines_strict_vs_lenient(tmp_path):
+@pytest.mark.parametrize("via", ["file", "stdin"])
+def test_malformed_lines_strict_vs_lenient(tmp_path, via):
+    data = b"a\tb\nbroken\na\tb\n"
     stream = tmp_path / "stream.tsv"
-    stream.write_bytes(b"a\tb\nbroken\na\tb\n")
+    stream.write_bytes(data)
     snap = tmp_path / "sk.snap"
-    strict = run_cli("build", "--in", str(stream), "--phi1", "0.5", "--phi2", "0.5",
-                     "--s1", "4", "--s2", "4", "--out", str(snap), "--strict")
+    source = ["--in", str(stream)] if via == "file" else []
+
+    def build(*extra):
+        return run_cli("build", *source, "--phi1", "0.5", "--phi2", "0.5",
+                       "--s1", "4", "--s2", "4", "--out", str(snap), *extra, stdin=data)
+
+    strict = build("--strict")
     assert strict.returncode == 2
-    lenient = run_cli("build", "--in", str(stream), "--phi1", "0.5", "--phi2", "0.5",
-                      "--s1", "4", "--s2", "4", "--out", str(snap))
+    lenient = build()
     assert lenient.returncode == 0
     assert b"skipped 1 malformed line" in lenient.stderr
     report = run_cli("report", "--sketch", str(snap))
     assert report.stdout == b"a 2\na b 2\n"
+
+
+def test_exact_warns_on_malformed_lines(tmp_path):
+    clean, broken = tmp_path / "clean.tsv", tmp_path / "broken.tsv"
+    clean.write_bytes(b"a\tb\na\tb\nc\td\n")
+    broken.write_bytes(b"a\tb\nbroken\na\tb\nc\td\n")
+    args = ("--phi1", "0.5", "--phi2", "0.5")
+    expected = run_cli("exact", "--in", str(clean), *args)
+    result = run_cli("exact", "--in", str(broken), *args)
+    assert result.returncode == 0
+    assert result.stderr == b"warning: skipped 1 malformed line(s)\n"
+    assert expected.stderr == b""
+    assert result.stdout == expected.stdout == b"(a,b) 2\n"
 
 
 def test_help_exits_zero():

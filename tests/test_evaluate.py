@@ -12,9 +12,7 @@ from chh import (
     generate_zipf,
     primary_error_stats,
     secondary_error_stats,
-    secondary_theoretical_max,
     solve_params,
-    space_time_comparison,
     sweep,
     sweep_csv_lines,
     ZipfWorkloadSpec,
@@ -47,8 +45,6 @@ def test_error_statistics_hand_derived_case():
     assert secondary.max_error == Fraction(1, 3)
     # implied eps1 = 1/4, so the ceiling is 1/4 + 1/((1/2 - 1/4) * 2) = 9/4
     assert secondary.theoretical_max == Fraction(1, 4) + Fraction(2)
-    tighter = secondary_error_stats(counts, sketch, "0.5", "0.5", denominator="phi1")
-    assert tighter.theoretical_max == Fraction(1, 4) + Fraction(1)
 
 
 def test_error_statistics_zero_without_shedding():
@@ -114,12 +110,6 @@ def test_bounds_hold_on_zipf_with_solver_params():
         assert all(err >= 0 for _, err in stats.per_item_errors)
 
 
-def test_theoretical_max_denominator_validation():
-    params = ChhParams.from_raw("0.5", "0.5", 4, 4)
-    with pytest.raises(InvalidParameterError):
-        secondary_theoretical_max(params, denominator="bogus")
-
-
 def test_sweep_shapes_and_monotone_theory():
     stream = random_tuple_stream(21, 3000, primaries=60, secondaries=20)
     rows = sweep(stream, "0.05", "0.2", [20, 40], [5, 10, 20])
@@ -164,14 +154,3 @@ def test_sweep_csv_layout():
     assert len(lines) == 2
     assert lines[1].startswith("10,4,800,")
     assert len(lines[1].split(",")) == 11
-
-
-def test_space_time_comparison_counts_pairs():
-    stream = random_tuple_stream(24, 5000, primaries=300, secondaries=50)
-    params = ChhParams.from_raw("0.05", "0.1", 40, 10)
-    result = space_time_comparison(stream, params)
-    assert result.n == 5000
-    assert result.sketch_stored_pairs <= 40 * 10
-    assert result.naive_stored_pairs > result.sketch_stored_pairs
-    assert result.naive_seconds > 0
-    assert result.sketch_seconds > 0

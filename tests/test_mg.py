@@ -1,11 +1,10 @@
-import random
 from collections import Counter
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from chh import InvalidParameterError, MgSummary, OffsetMgSummary
+from chh import InvalidParameterError, MgSummary
 
 keys = st.binary(min_size=0, max_size=2)
 streams = st.lists(keys, max_size=300)
@@ -30,8 +29,6 @@ def test_capacity_one_is_valid():
 def test_bad_capacity_rejected(bad):
     with pytest.raises(InvalidParameterError):
         MgSummary(bad)
-    with pytest.raises(InvalidParameterError):
-        OffsetMgSummary(bad)
 
 
 def test_overflow_hand_simulation():
@@ -95,34 +92,6 @@ def test_exact_when_distinct_keys_fit(capacity, stream):
         truth[key] += 1
     for key, count in truth.items():
         assert summary.estimate(key) == count
-
-
-@given(capacities, streams)
-def test_offset_variant_matches_reference(capacity, stream):
-    eager = MgSummary(capacity)
-    lazy = OffsetMgSummary(capacity)
-    for key in stream:
-        eager.update(key)
-        lazy.update(key)
-        assert lazy.entries() == eager.entries()
-    assert lazy.items_seen == eager.items_seen
-    assert lazy.total() == eager.total()
-    for key in set(stream) | {b"never"}:
-        assert lazy.estimate(key) == eager.estimate(key)
-
-
-def test_offset_variant_matches_reference_long_randomized():
-    rng = random.Random(20240611)
-    eager = MgSummary(7)
-    lazy = OffsetMgSummary(7)
-    for step in range(10_000):
-        key = str(rng.randrange(40)).encode()
-        eager.update(key)
-        lazy.update(key)
-        if step % 500 == 0:
-            assert lazy.entries() == eager.entries()
-    assert lazy.entries() == eager.entries()
-    assert lazy.items_seen == eager.items_seen
 
 
 def test_decrement_least_key_picks_smallest_and_drops_zero():

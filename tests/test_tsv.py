@@ -1,9 +1,14 @@
+import io
+import sys
+
 import pytest
 
 from chh import (
     InvalidParameterError,
     MalformedLineError,
     TsvTupleSource,
+    UnsupportedSourceError,
+    exact_chh_multipass,
     parse_tuple_line,
     write_tuples,
 )
@@ -64,6 +69,22 @@ def test_source_strict_raises_at_line(tmp_path):
     with pytest.raises(MalformedLineError) as excinfo:
         list(source)
     assert excinfo.value.line_number == 2
+
+
+def test_stdin_source_counts_skips_and_is_single_pass(monkeypatch):
+    def feed(data):
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+
+    feed(b"a\tp\nbroken\nb\tq\n")
+    source = TsvTupleSource(None)
+    assert list(source) == [(b"a", b"p"), (b"b", b"q")]
+    assert source.skipped_lines == 1
+    with pytest.raises(UnsupportedSourceError):
+        iter(source)
+
+    feed(b"a\tp\n" * 5)
+    with pytest.raises(UnsupportedSourceError):
+        exact_chh_multipass(TsvTupleSource(None), "0.5", "0.5")
 
 
 def test_write_rejects_separator_in_fields(tmp_path):
