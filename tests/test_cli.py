@@ -1,3 +1,4 @@
+import hashlib
 import subprocess
 import sys
 
@@ -218,3 +219,67 @@ def test_identical_invocations_are_byte_identical(tmp_path, fmt):
         for _ in range(2)
     ]
     assert reports[0] == reports[1]
+
+
+def golden_tsv() -> bytes:
+    """A fixed stream that exercises every rule of the line grammar.
+
+    CRLF and LF terminators, a final line with none, a lone ``\\r`` inside a
+    field and before the terminator, extra tabs, empty fields, non-UTF-8
+    bytes, and two lines without a tab (one of them empty).
+    """
+    lines = []
+    for i in range(40):
+        lines += [b"a\tp\r\n", b"a\tp\rq\n", b"\xff\xfe\t\x80\n", b"c\tx\ty\n",
+                  b"k%d\tv%d\n" % (i % 7, i % 3)]
+        if i % 5 == 0:
+            lines += [b"\t\n", b"d\t\n", b"\te\n"]
+        if i % 3 == 0:
+            lines.append(b"a\r\tp\r\r\n")
+        if i == 17:
+            lines.append(b"no separator\r\n")
+        if i == 29:
+            lines.append(b"\n")
+    lines.append(b"c\tx\ty")
+    return b"".join(lines)
+
+
+GOLDEN_SNAPSHOT_SHA256 = "70a716a52de712641d56bb6aff73086e40520075c5a893cb6b1f7f3437375aba"
+GOLDEN_SWEEP_SHA256 = "735ef119d118b94013420a6573949b5bb9a7eb83f0e8218ddfb40a42add26a61"
+GOLDEN_REPORT_TEXT = (
+    b"a 61\na p 21\na p\rq 40\na\r 1\na\r p\r 1\nc 22\nc x\ty 22\n"
+    b"k4 1\nk4 v0 1\n\xff\xfe 21\n\xff\xfe \x80 21\n"
+)
+GOLDEN_REPORT_CSV = (
+    b"kind,d,s,est_count\nprimary,a,,61\npair,a,p,21\npair,a,\"p\rq\",40\n"
+    b"primary,\"a\r\",,1\npair,\"a\r\",\"p\r\",1\nprimary,c,,22\npair,c,x\ty,22\n"
+    b"primary,k4,,1\npair,k4,v0,1\nprimary,\xff\xfe,,21\npair,\xff\xfe,\x80,21\n"
+)
+GOLDEN_EXACT = b"(a,p) 40\n(a,p\rq) 40\n(c,x\ty) 41\n(\xff\xfe,\x80) 40\n"
+SKIP_WARNING = b"warning: skipped 2 malformed line(s)\n"
+
+
+def test_golden_outputs_on_quirky_lines(tmp_path):
+    stream = tmp_path / "golden.tsv"
+    stream.write_bytes(golden_tsv())
+    sizes = ("--phi1", "0.1", "--phi2", "0.2", "--s1", "6", "--s2", "3")
+    infeasible = (b"warning: table sizes do not meet the feasibility constraints; "
+                  b"reports may miss guarantees\n")
+    from_file, from_stdin = tmp_path / "file.snap", tmp_path / "stdin.snap"
+    for snap, source in ((from_file, ("--in", str(stream))), (from_stdin, ())):
+        built = run_cli("build", *source, *sizes, "--out", str(snap), stdin=golden_tsv())
+        assert built.returncode == 0
+        assert built.stderr == SKIP_WARNING + infeasible
+        assert hashlib.sha256(snap.read_bytes()).hexdigest() == GOLDEN_SNAPSHOT_SHA256
+    for fmt, expected in (("text", GOLDEN_REPORT_TEXT), ("csv", GOLDEN_REPORT_CSV)):
+        report = run_cli("report", "--sketch", str(from_file), "--format", fmt)
+        assert (report.returncode, report.stdout, report.stderr) == (0, expected, b"")
+    for method in ("multipass", "naive"):
+        exact = run_cli("exact", "--in", str(stream), "--phi1", "0.1", "--phi2", "0.2",
+                        "--method", method)
+        assert (exact.returncode, exact.stdout, exact.stderr) == (0, GOLDEN_EXACT, SKIP_WARNING)
+    out = tmp_path / "sweep.csv"
+    evaluated = run_cli("evaluate", "--in", str(stream), "--phi1", "0.1", "--phi2", "0.2",
+                        "--s1-list", "4,8", "--s2-list", "2,3", "--out", str(out))
+    assert (evaluated.returncode, evaluated.stderr) == (0, SKIP_WARNING)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SWEEP_SHA256

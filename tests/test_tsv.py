@@ -2,6 +2,8 @@ import io
 import sys
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from chh import (
     InvalidParameterError,
@@ -85,6 +87,18 @@ def test_stdin_source_counts_skips_and_is_single_pass(monkeypatch):
     feed(b"a\tp\n" * 5)
     with pytest.raises(UnsupportedSourceError):
         exact_chh_multipass(TsvTupleSource(None), "0.5", "0.5")
+
+
+field = st.binary(max_size=6).filter(lambda b: not {9, 10, 13} & set(b))
+
+
+@given(st.lists(st.tuples(field, field), max_size=50))
+def test_write_then_read_returns_any_separator_free_stream(tmp_path_factory, tuples):
+    path = tmp_path_factory.mktemp("roundtrip") / "stream.tsv"
+    assert write_tuples(path, tuples) == len(tuples)
+    source = TsvTupleSource(path)
+    assert list(source) == tuples
+    assert source.skipped_lines == 0
 
 
 def test_write_rejects_separator_in_fields(tmp_path):
