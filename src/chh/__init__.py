@@ -40,7 +40,7 @@ from .oracle import (
 from .params import ChhParams, solve_params, to_fraction
 from .sketch import ChhReport, ChhSketch, PrimaryEntry, ReportedPrimary
 from .snapshot import load_sketch, save_sketch, sketch_from_bytes, sketch_to_bytes
-from .tsv import TsvTupleSource, TupleRecord, parse_tuple_line, write_tuples
+from .tsv import TsvTupleSource, write_tuples
 from .workload import ZipfStream, ZipfWorkloadSpec, generate_zipf, zipf_probabilities
 
 __version__ = "0.1.0"
@@ -63,7 +63,6 @@ __all__ = [
     "SnapshotFormatError",
     "SweepRow",
     "TsvTupleSource",
-    "TupleRecord",
     "UnsupportedSourceError",
     "ZipfStream",
     "ZipfWorkloadSpec",
@@ -73,7 +72,6 @@ __all__ = [
     "exact_counts_naive",
     "generate_zipf",
     "load_sketch",
-    "parse_tuple_line",
     "primary_error_stats",
     "require_replayable",
     "save_sketch",

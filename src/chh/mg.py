@@ -31,7 +31,7 @@ class MgSummary:
             items_seen // (capacity + 1)).
     """
 
-    __slots__ = ("capacity", "items_seen", "sweeps", "_entries", "_total")
+    __slots__ = ("capacity", "items_seen", "sweeps", "_entries")
 
     def __init__(self, capacity: int):
         check_positive_int(capacity, "capacity")
@@ -39,7 +39,6 @@ class MgSummary:
         self.items_seen = 0
         self.sweeps = 0
         self._entries: dict[bytes, int] = {}
-        self._total = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -66,17 +65,14 @@ class MgSummary:
         count = entries.get(key)
         if count is not None:
             entries[key] = count + 1
-            self._total += 1
             return
         entries[key] = 1
-        self._total += 1
         if len(entries) > self.capacity:
             self._shed()
 
     def _shed(self) -> None:
         # Every count drops by one; zero counts leave immediately.
         entries = self._entries
-        self._total -= len(entries)
         dead = []
         for key, count in entries.items():
             if count == 1:
@@ -96,8 +92,8 @@ class MgSummary:
         return sorted(self._entries.items())
 
     def total(self) -> int:
-        """Sum of all stored counts (maintained incrementally, O(1))."""
-        return self._total
+        """Sum of all stored counts, computed on each call in O(len(self))."""
+        return sum(self._entries.values())
 
     def decrement_least_key(self) -> None:
         """Remove one unit of mass from the smallest retained key.
@@ -115,4 +111,3 @@ class MgSummary:
             del entries[key]
         else:
             entries[key] = count - 1
-        self._total -= 1

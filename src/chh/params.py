@@ -22,8 +22,8 @@ def to_fraction(value: FractionLike, name: str = "value") -> Fraction:
     """Convert ``value`` to an exact rational.
 
     Floats are read through their shortest decimal repr, so 0.1 means exactly
-    1/10 rather than the nearest binary double. Strings accept decimal
-    ("0.35"), ratio ("7/20"), and scientific ("1e-3") forms.
+    1/10 rather than the nearest binary double. Strings accept finite
+    decimal ("0.35"), ratio ("7/20"), and scientific ("1e-3") forms.
     """
     if isinstance(value, Fraction):
         return value
@@ -40,7 +40,7 @@ def to_fraction(value: FractionLike, name: str = "value") -> Fraction:
             if "/" in value:
                 return Fraction(value)
             return Fraction(Decimal(value))
-        except (ValueError, ZeroDivisionError, InvalidOperation) as exc:
+        except (ValueError, ZeroDivisionError, InvalidOperation, OverflowError) as exc:
             raise InvalidParameterError(f"cannot parse {name}={value!r}: {exc}") from exc
     raise InvalidParameterError(f"cannot interpret {name}={value!r} as a rational")
 

@@ -2,7 +2,8 @@
 
 The layout is line oriented ASCII: a magic header, the parameters as exact
 ``numerator/denominator`` rationals, the stream length, then one ``p`` line
-per outer entry (sorted by key) followed by its ``s`` lines (sorted by key).
+per outer entry followed by its ``s`` lines. At each level keys strictly
+increase; the loader rejects repeated or unsorted keys.
 Keys are hex encoded so arbitrary byte strings, including empty ones and
 ones containing tabs or newlines, survive unchanged. Saving a loaded sketch
 reproduces the input bytes exactly; diagnostic counters (shed-round totals)
@@ -14,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import SnapshotFormatError
+from .errors import InvalidParameterError, SnapshotFormatError
 from .mg import MgSummary
 from .params import ChhParams
 from .sketch import ChhSketch, PrimaryEntry
@@ -84,11 +85,15 @@ def _parse_int(token: bytes) -> int:
         raise SnapshotFormatError(f"bad integer {token!r}") from exc
 
 
-def _parse_key(token: bytes) -> bytes:
+def _parse_key(token: bytes, previous: bytes | None) -> bytes:
+    """Decode a hex key that must sort strictly after ``previous`` (None: first key)."""
     try:
-        return bytes.fromhex(token.decode("ascii"))
+        key = bytes.fromhex(token.decode("ascii"))
     except (ValueError, UnicodeDecodeError) as exc:
         raise SnapshotFormatError(f"bad hex key {token!r}") from exc
+    if previous is not None and key <= previous:
+        raise SnapshotFormatError(f"key {key!r} does not sort strictly after {previous!r}")
+    return key
 
 
 def sketch_from_bytes(data: bytes) -> ChhSketch:
@@ -103,32 +108,36 @@ def sketch_from_bytes(data: bytes) -> ChhSketch:
     n = _parse_int(reader.expect_field(b"n"))
     primary_count = _parse_int(reader.expect_field(b"primaries"))
 
-    params = ChhParams(
-        fractions[b"phi1"], fractions[b"phi2"],
-        fractions[b"eps1"], fractions[b"eps2"],
-        s1, s2,
-    )
+    try:
+        params = ChhParams(
+            fractions[b"phi1"], fractions[b"phi2"],
+            fractions[b"eps1"], fractions[b"eps2"],
+            s1, s2,
+        )
+    except InvalidParameterError as exc:
+        raise SnapshotFormatError(f"bad parameters: {exc}") from exc
     sketch = ChhSketch(params)
     sketch.n = n
+    key = None
     for _ in range(primary_count):
         tokens = reader.expect_field(b"p").split(b" ")
         if len(tokens) != 4:
             raise SnapshotFormatError(f"malformed primary entry line {tokens!r}")
-        key = _parse_key(tokens[0])
+        key = _parse_key(tokens[0], key)
         est_count = _parse_int(tokens[1])
         inner = MgSummary(s2)
         inner.items_seen = _parse_int(tokens[2])
         inner_count = _parse_int(tokens[3])
         total = 0
+        skey = None
         for _ in range(inner_count):
             stokens = reader.expect_field(b"s").split(b" ")
             if len(stokens) != 2:
                 raise SnapshotFormatError(f"malformed secondary entry line {stokens!r}")
-            skey = _parse_key(stokens[0])
+            skey = _parse_key(stokens[0], skey)
             count = _parse_int(stokens[1])
             inner._entries[skey] = count
             total += count
-        inner._total = total
         if len(inner) > s2 or est_count < 1 or total > est_count:
             raise SnapshotFormatError(
                 f"entry for key {key!r} violates sketch invariants"

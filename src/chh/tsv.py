@@ -1,35 +1,19 @@
-"""Tab-separated (x, y) tuple streams: parsing, file sources, writing."""
+"""Tab-separated (x, y) tuple streams: reading and writing.
+
+Fields are opaque bytes. A line splits on its first tab: ``x`` is what comes
+before it, ``y`` everything after, further tabs included. Only a trailing
+``\n`` or ``\r\n`` is stripped; a lone ``\r`` anywhere else is data, and
+either field may be empty. A line without a tab is malformed.
+"""
 
 from __future__ import annotations
 
 import sys
 from contextlib import nullcontext
 from pathlib import Path
-from typing import IO, Iterable, Iterator, NamedTuple
+from typing import IO, Iterable, Iterator
 
 from .errors import InvalidParameterError, MalformedLineError, UnsupportedSourceError
-
-
-class TupleRecord(NamedTuple):
-    x: bytes
-    y: bytes
-
-
-def parse_tuple_line(line: bytes, line_number: int = 0) -> TupleRecord:
-    """Split one raw line on its first tab.
-
-    Only the trailing line terminator is removed; both fields may be empty
-    and any further tabs stay inside the second field. A line without a tab
-    raises `MalformedLineError` carrying ``line_number``.
-    """
-    if line.endswith(b"\r\n"):
-        line = line[:-2]
-    elif line.endswith(b"\n"):
-        line = line[:-1]
-    sep = line.find(b"\t")
-    if sep < 0:
-        raise MalformedLineError(line_number, line)
-    return TupleRecord(line[:sep], line[sep + 1:])
 
 
 class TsvTupleSource:
@@ -49,7 +33,7 @@ class TsvTupleSource:
         self.skipped_lines = 0
         self._stdin_read = False
 
-    def __iter__(self) -> Iterator[TupleRecord]:
+    def __iter__(self) -> Iterator[tuple[bytes, bytes]]:
         if self.path is None:
             if self._stdin_read:
                 raise UnsupportedSourceError(
@@ -59,17 +43,18 @@ class TsvTupleSource:
         self.skipped_lines = 0
         return self._scan()
 
-    def _scan(self) -> Iterator[TupleRecord]:
+    def _scan(self) -> Iterator[tuple[bytes, bytes]]:
         opened = nullcontext(sys.stdin.buffer) if self.path is None else open(self.path, "rb")
         with opened as handle:
-            number = 0
-            for raw in handle:
-                number += 1
-                try:
-                    yield parse_tuple_line(raw, number)
-                except MalformedLineError:
-                    if self.strict:
-                        raise
+            for number, line in enumerate(handle, 1):
+                if line[-1:] == b"\n":
+                    line = line[:-2] if line[-2:-1] == b"\r" else line[:-1]
+                x, tab, y = line.partition(b"\t")
+                if tab:
+                    yield x, y
+                elif self.strict:
+                    raise MalformedLineError(number, line)
+                else:
                     self.skipped_lines += 1
 
 

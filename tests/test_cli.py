@@ -5,7 +5,7 @@ import sys
 import pytest
 
 import chh.cli
-from chh import ChhParams, ChhSketch, ResourceLimitError, TsvTupleSource
+from chh import ChhParams, ChhSketch, ResourceLimitError, TsvTupleSource, sketch_to_bytes
 from chh.cli import _format_report_text, main
 
 
@@ -108,6 +108,11 @@ def test_usage_errors_exit_one():
                  "--eps1", "0.01", "--eps2", "0.05"]) == 1
     assert main(["solve-params", "--phi1", "0.1", "--phi2", "0.1",
                  "--eps1", "0.06", "--eps2", "0.05"]) == 1  # eps1 > phi1/2
+    for non_finite in ("inf", "-Infinity"):
+        assert main(["solve-params", "--phi1", non_finite, "--phi2", "0.1",
+                     "--eps1", "0.01", "--eps2", "0.05"]) == 1
+        assert main(["build", "--phi1", non_finite, "--phi2", "0.1",
+                     "--s1", "4", "--s2", "4", "--out", "unused.snap"]) == 1
 
 
 def test_build_flag_combinations_rejected(tmp_path):
@@ -126,9 +131,12 @@ def test_missing_input_file_exits_two(tmp_path):
 
 
 def test_corrupt_snapshot_exits_two(tmp_path):
+    sketch = ChhSketch(ChhParams.from_raw("0.5", "0.5", 2, 2))
+    out_of_range = sketch_to_bytes(sketch).replace(b"s1 2", b"s1 0")
     bad = tmp_path / "bad.snap"
-    bad.write_bytes(b"not a snapshot\n")
-    assert main(["report", "--sketch", str(bad)]) == 2
+    for blob in (b"not a snapshot\n", out_of_range):
+        bad.write_bytes(blob)
+        assert main(["report", "--sketch", str(bad)]) == 2
 
 
 def test_resource_limit_exits_three(tmp_path, monkeypatch):

@@ -18,6 +18,9 @@ def test_to_fraction_variants():
         to_fraction("abc")
     with pytest.raises(InvalidParameterError):
         to_fraction(float("nan"))
+    for non_finite in ("inf", "-Infinity"):
+        with pytest.raises(InvalidParameterError):
+            to_fraction(non_finite)
     with pytest.raises(InvalidParameterError):
         to_fraction(True)
 

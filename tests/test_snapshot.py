@@ -66,14 +66,24 @@ def test_solver_params_roundtrip(tmp_path):
         lambda blob: blob[: blob.index(b"end")],
         lambda blob: blob.replace(b"phi1", b"phiX"),
         lambda blob: blob.replace(b"n 4", b"n x"),
+        lambda blob: blob.replace(b"s1 2", b"s1 0"),
+        lambda blob: blob.replace(b"phi1 1/2", b"phi1 2/1"),
+        lambda blob: blob.replace(b"p 62 1 1 1", b"p 61 1 1 1"),  # repeated primary
+        lambda blob: blob.replace(b"s 71 1", b"s 70 1"),  # repeated secondary
+        lambda blob: blob.replace(  # primaries out of order
+            b"p 61 3 3 2\ns 70 2\ns 71 1\np 62 1 1 1\ns 70 1\n",
+            b"p 62 1 1 1\ns 70 1\np 61 3 3 2\ns 70 2\ns 71 1\n",
+        ),
     ],
 )
 def test_corrupt_snapshots_rejected(mutate):
     sketch = ChhSketch(ChhParams.from_raw("0.5", "0.5", 2, 2))
-    sketch.consume([(b"a", b"p")] * 4)
+    sketch.consume([(b"a", b"p"), (b"a", b"q"), (b"b", b"p"), (b"a", b"p")])
     blob = sketch_to_bytes(sketch)
+    bad = mutate(blob)
+    assert bad != blob
     with pytest.raises(SnapshotFormatError):
-        sketch_from_bytes(mutate(blob))
+        sketch_from_bytes(bad)
 
 
 def test_invariant_violating_snapshot_rejected():

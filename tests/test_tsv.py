@@ -11,36 +11,39 @@ from chh import (
     TsvTupleSource,
     UnsupportedSourceError,
     exact_chh_multipass,
-    parse_tuple_line,
     write_tuples,
 )
 
 
-def test_parse_basic_fields():
-    record = parse_tuple_line(b"10.0.0.1\t192.168.1.5\n")
-    assert record == (b"10.0.0.1", b"192.168.1.5")
+GOOD_PREFIX = b"k\tv\n" * 16  # so the line under test is line 17
 
 
-def test_parse_splits_on_first_tab_only():
-    assert parse_tuple_line(b"a\tb\tc\n") == (b"a", b"b\tc")
-
-
-def test_parse_allows_empty_fields():
-    assert parse_tuple_line(b"\t\n") == (b"", b"")
-    assert parse_tuple_line(b"x\t\n") == (b"x", b"")
-    assert parse_tuple_line(b"\ty\n") == (b"", b"y")
-
-
-def test_parse_strips_only_line_terminator():
-    assert parse_tuple_line(b"a \t b\r\n") == (b"a ", b" b")
-    assert parse_tuple_line(b"a\tb") == (b"a", b"b")  # no terminator at EOF
-
-
-def test_parse_missing_tab_reports_line_number():
-    with pytest.raises(MalformedLineError) as excinfo:
-        parse_tuple_line(b"nodelimiter\n", line_number=17)
-    assert excinfo.value.line_number == 17
-    assert "17" in str(excinfo.value)
+@pytest.mark.parametrize(
+    "data, expected",
+    [
+        (b"10.0.0.1\t192.168.1.5\n", [(b"10.0.0.1", b"192.168.1.5")]),
+        (b"a\tb\tc\n", [(b"a", b"b\tc")]),
+        (b"\t\nx\t\n\ty\n", [(b"", b""), (b"x", b""), (b"", b"y")]),
+        (b"a \t b\r\na\tb", [(b"a ", b" b"), (b"a", b"b")]),  # no terminator at EOF
+        (b"a\r\tb\rc\r\r\n", [(b"a\r", b"b\rc\r")]),
+        (b"nodelimiter\n", None),
+    ],
+    ids=["basic-fields", "first-tab-only", "empty-fields", "only-line-terminator",
+         "lone-cr-is-data", "missing-tab"],
+)
+def test_source_line_grammar(tmp_path, data, expected):
+    path = tmp_path / "stream.tsv"
+    path.write_bytes(GOOD_PREFIX + data)
+    lenient, strict = TsvTupleSource(path), TsvTupleSource(path, strict=True)
+    assert list(lenient)[16:] == (expected or [])
+    assert lenient.skipped_lines == (expected is None)
+    if expected is None:
+        with pytest.raises(MalformedLineError) as excinfo:
+            list(strict)
+        assert excinfo.value.line_number == 17
+        assert str(excinfo.value) == "line 17: no tab separator"
+    else:
+        assert list(strict)[16:] == expected
 
 
 def test_source_roundtrip_and_replay(tmp_path):
