@@ -143,6 +143,26 @@ def test_sweep_rejects_empty_lists():
         sweep([(b"a", b"b")], "0.5", "0.5", [], [4])
 
 
+class CountingSource:
+    """Replayable source that counts every tuple it yields, across passes."""
+
+    def __init__(self, tuples):
+        self.tuples = tuples
+        self.yielded = 0
+
+    def __iter__(self):
+        for item in self.tuples:
+            self.yielded += 1
+            yield item
+
+
+def test_sweep_rejects_bad_size_before_reading():
+    source = CountingSource([(b"a", b"b")] * 10)
+    with pytest.raises(InvalidParameterError):
+        sweep(source, "0.5", "0.5", [4, 0], [2])
+    assert source.yielded == 0
+
+
 def test_sweep_csv_layout():
     stream = random_tuple_stream(23, 800, primaries=20, secondaries=8)
     lines = sweep_csv_lines(sweep(stream, "0.1", "0.2", [10], [4]))

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chh import (
@@ -74,6 +74,14 @@ def test_solver_params_roundtrip(tmp_path):
             b"p 61 3 3 2\ns 70 2\ns 71 1\np 62 1 1 1\ns 70 1\n",
             b"p 62 1 1 1\ns 70 1\np 61 3 3 2\ns 70 2\ns 71 1\n",
         ),
+        lambda blob: blob[: blob.index(b"primaries")] + b"primaries -3\nend\n",
+        lambda blob: blob.replace(b"p 62 1 1 1\ns 70 1\n", b"p 62 1 1 -1\n"),
+        lambda blob: blob.replace(b"n 4", b"n 1"),  # n below the primary counts
+        lambda blob: blob.replace(b"p 61 3 3 2", b"p 61 3 2 2"),  # items_seen < total
+        lambda blob: blob.replace(b"s 71 1", b"s 71 0"),  # zero secondary count
+        lambda blob: blob.replace(b"n 4", b"n 0_4"),
+        lambda blob: blob.replace(b"phi1 1/2", b"phi1 2/4"),  # unreduced fraction
+        lambda blob: blob + b"end\n",  # bytes after the end marker
     ],
 )
 def test_corrupt_snapshots_rejected(mutate):
@@ -95,3 +103,38 @@ def test_invariant_violating_snapshot_rejected():
     assert bad != blob
     with pytest.raises(SnapshotFormatError):
         sketch_from_bytes(bad)
+
+
+def test_uppercase_hex_rejected():
+    sketch = ChhSketch(ChhParams.from_raw("0.5", "0.5", 2, 2))
+    sketch.update(b"\xab", b"\xcd")
+    blob = sketch_to_bytes(sketch)
+    assert b"p ab 1 1 1\ns cd 1\n" in blob
+    for bad in (blob.replace(b"p ab", b"p AB"), blob.replace(b"s cd", b"s Cd")):
+        with pytest.raises(SnapshotFormatError):
+            sketch_from_bytes(bad)
+
+
+@st.composite
+def mutated_snapshots(draw):
+    sketch = ChhSketch(ChhParams.from_raw("0.5", "0.5", draw(st.integers(1, 3)), 2))
+    sketch.consume(draw(st.lists(pair, max_size=12)))
+    blob = sketch_to_bytes(sketch)
+    at = draw(st.integers(0, len(blob)))
+    kind = draw(st.sampled_from(("insert", "delete", "replace")))
+    byte = bytes([draw(st.sampled_from(b"0123456789abcdefABCDEF -+_/\nnpsx\xff"))])
+    if kind == "insert":
+        return blob[:at] + byte + blob[at:]
+    if kind == "delete":
+        return blob[:at] + blob[at + 1:]
+    return blob[:at] + byte + blob[at + 1:]
+
+
+@settings(max_examples=400)
+@given(mutated_snapshots())
+def test_mutated_snapshot_rejected_or_resaved_identically(data):
+    try:
+        sketch = sketch_from_bytes(data)
+    except SnapshotFormatError:
+        return
+    assert sketch_to_bytes(sketch) == data
