@@ -210,8 +210,6 @@ def _parse_int_list(text: str, name: str) -> list[int]:
         values = [int(token) for token in text.split(",") if token != ""]
     except ValueError as exc:
         raise InvalidParameterError(f"{name} must be comma-separated integers: {exc}")
-    if not values:
-        raise InvalidParameterError(f"{name} must list at least one size")
     return values
 
 
@@ -251,11 +249,3 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ResourceLimitError as exc:
         print(f"chh: error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-
-
-def run() -> None:
-    raise SystemExit(main())
-
-
-if __name__ == "__main__":
-    run()

@@ -137,33 +137,33 @@ def sweep(
 
     Table sizes are taken as given (`ChhParams.from_raw`), so rows may run
     with infeasible sizes on purpose; the per-row theoretical columns then
-    carry the tolerances those sizes imply.
+    carry the tolerances those sizes imply. Every configuration's sizes are
+    checked before the first pass over ``source``.
     """
     require_replayable(source)
     phi1 = to_fraction(phi1, "phi1")
     phi2 = to_fraction(phi2, "phi2")
     if not s1_values or not s2_values:
         raise InvalidParameterError("s1_values and s2_values must be non-empty")
+    configs = [ChhParams.from_raw(phi1, phi2, s1, s2) for s1 in s1_values for s2 in s2_values]
     if oracle is None:
         oracle = exact_chh_multipass(source, phi1, phi2)
     rows = []
-    for s1 in s1_values:
-        for s2 in s2_values:
-            params = ChhParams.from_raw(phi1, phi2, s1, s2)
-            sketch = ChhSketch(params)
-            sketch.consume(source)
-            report = sketch.report()
-            rows.append(
-                SweepRow(
-                    s1=s1,
-                    s2=s2,
-                    n=sketch.n,
-                    primary=primary_error_stats(oracle.counts, sketch, phi1),
-                    secondary=secondary_error_stats(oracle.counts, sketch, phi1, phi2),
-                    reported_primaries=len(report.primaries),
-                    reported_pairs=sum(len(p.secondaries) for p in report.primaries),
-                )
+    for params in configs:
+        sketch = ChhSketch(params)
+        sketch.consume(source)
+        report = sketch.report()
+        rows.append(
+            SweepRow(
+                s1=params.s1,
+                s2=params.s2,
+                n=sketch.n,
+                primary=primary_error_stats(oracle.counts, sketch, phi1),
+                secondary=secondary_error_stats(oracle.counts, sketch, phi1, phi2),
+                reported_primaries=len(report.primaries),
+                reported_pairs=sum(len(p.secondaries) for p in report.primaries),
             )
+        )
     return rows
 
 

@@ -101,8 +101,8 @@ class MgSummary:
         Drops the key when its count reaches zero. Used by the nested sketch,
         which must shed one inner unit per outer unit; picking the smallest
         key makes runs reproducible where any retained key would be correct.
-        Does not count as an observed item. No-op contract: caller must
-        ensure the summary is non-empty.
+        Does not count as an observed item. The summary must be non-empty;
+        on an empty one ``min()`` raises ``ValueError``.
         """
         entries = self._entries
         key = min(entries)

@@ -152,9 +152,4 @@ def exact_chh_multipass(
         key = (x, y)
         if key in pair_counts:
             pair_counts[key] += 1
-    heavy_pairs = {
-        (d, s): c for (d, s), c in pair_counts.items() if c > phi2 * heavy[d]
-    }
-
-    counts = ExactCounts(n=n, primary=primary_counts, pairs=pair_counts)
-    return ExactChh(n=n, primaries=heavy, pairs=heavy_pairs, counts=counts)
+    return exact_chh_from_counts(ExactCounts(n, primary_counts, pair_counts), phi1, phi2)

@@ -1,21 +1,28 @@
 """Sketch snapshots: a versioned, canonical, byte-stable text layout.
 
-The layout is line oriented ASCII: a magic header, the parameters as exact
-``numerator/denominator`` rationals, the stream length, then one ``p`` line
-per outer entry followed by its ``s`` lines. At each level keys strictly
-increase; the loader rejects repeated or unsorted keys.
-Keys are hex encoded so arbitrary byte strings, including empty ones and
-ones containing tabs or newlines, survive unchanged. Saving a loaded sketch
-reproduces the input bytes exactly; diagnostic counters (shed-round totals)
-are not part of the format and reset on load.
+The layout is line oriented ASCII: a magic header, the parameters as
+reduced ``numerator/denominator`` rationals, the table sizes, the stream
+length and the number of outer entries, then one ``p`` line per outer entry
+(key, estimated count, inner ``items_seen``, inner size) followed by its
+``s`` lines (key, count), and an ``end`` line. Keys are lowercase hex, so
+arbitrary byte strings, including empty ones and ones containing tabs or
+newlines, survive unchanged; at each level they strictly increase.
+
+`sketch_to_bytes` is the only definition of the layout. `sketch_from_bytes`
+reads the fields leniently, checks the state against the invariants of the
+update rule, and then requires the sketch to save back to exactly the input
+bytes. It therefore accepts precisely what the saver writes for a state some
+stream can reach, and raises `SnapshotFormatError` on anything else. Shed-round
+counters are per-process diagnostics: they are not saved and read 0 after a load.
 """
 
 from __future__ import annotations
 
+from binascii import hexlify, unhexlify
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import InvalidParameterError, SnapshotFormatError
+from .errors import SnapshotFormatError
 from .mg import MgSummary
 from .params import ChhParams
 from .sketch import ChhSketch, PrimaryEntry
@@ -41,112 +48,69 @@ def sketch_to_bytes(sketch: ChhSketch) -> bytes:
         inner = entry.inner
         lines.append(
             b"p %s %d %d %d"
-            % (key.hex().encode(), entry.est_count, inner.items_seen, len(inner))
+            % (hexlify(key), entry.est_count, inner.items_seen, len(inner))
         )
         for skey, count in inner.entries():
-            lines.append(b"s %s %d" % (skey.hex().encode(), count))
+            lines.append(b"s %s %d" % (hexlify(skey), count))
     lines.append(b"end")
     return b"\n".join(lines) + b"\n"
 
 
-class _Reader:
-    def __init__(self, data: bytes):
-        self._lines = data.split(b"\n")
-        self._pos = 0
-
-    def next_line(self) -> bytes:
-        if self._pos >= len(self._lines):
-            raise SnapshotFormatError(f"truncated snapshot at line {self._pos + 1}")
-        line = self._lines[self._pos]
-        self._pos += 1
-        return line
-
-    def expect_field(self, name: bytes) -> bytes:
-        line = self.next_line()
-        prefix = name + b" "
-        if not line.startswith(prefix):
-            raise SnapshotFormatError(
-                f"expected {name.decode()!r} at line {self._pos}, got {line[:40]!r}"
-            )
-        return line[len(prefix):]
-
-
-def _parse_fraction(token: bytes) -> Fraction:
-    try:
-        return Fraction(token.decode("ascii"))
-    except (ValueError, ZeroDivisionError, UnicodeDecodeError) as exc:
-        raise SnapshotFormatError(f"bad rational {token!r}: {exc}") from exc
-
-
-def _parse_int(token: bytes) -> int:
-    try:
-        return int(token)
-    except ValueError as exc:
-        raise SnapshotFormatError(f"bad integer {token!r}") from exc
-
-
-def _parse_key(token: bytes, previous: bytes | None) -> bytes:
-    """Decode a hex key that must sort strictly after ``previous`` (None: first key)."""
-    try:
-        key = bytes.fromhex(token.decode("ascii"))
-    except (ValueError, UnicodeDecodeError) as exc:
-        raise SnapshotFormatError(f"bad hex key {token!r}") from exc
-    if previous is not None and key <= previous:
-        raise SnapshotFormatError(f"key {key!r} does not sort strictly after {previous!r}")
-    return key
-
-
 def sketch_from_bytes(data: bytes) -> ChhSketch:
-    reader = _Reader(data)
-    if reader.next_line() != _MAGIC:
-        raise SnapshotFormatError("not a sketch snapshot (bad magic line)")
-    fractions = {}
-    for name in (b"phi1", b"phi2", b"eps1", b"eps2"):
-        fractions[name] = _parse_fraction(reader.expect_field(name))
-    s1 = _parse_int(reader.expect_field(b"s1"))
-    s2 = _parse_int(reader.expect_field(b"s2"))
-    n = _parse_int(reader.expect_field(b"n"))
-    primary_count = _parse_int(reader.expect_field(b"primaries"))
+    """Load a snapshot written by `sketch_to_bytes` for a reachable state.
 
+    The fields are read leniently, the state is checked against the
+    invariants of the update rule, and the sketch must then save back to
+    ``data`` exactly; anything else raises `SnapshotFormatError`.
+    """
+    lines = data.split(b"\n")
+    if lines[0] != _MAGIC:
+        raise SnapshotFormatError("not a sketch snapshot (bad magic line)")
     try:
-        params = ChhParams(
-            fractions[b"phi1"], fractions[b"phi2"],
-            fractions[b"eps1"], fractions[b"eps2"],
-            s1, s2,
+        values = [line.partition(b" ")[2] for line in lines[1:8]]
+        phi1, phi2, eps1, eps2 = (
+            Fraction(int(num), int(den)) for num, den in (v.split(b"/") for v in values[:4])
         )
-    except InvalidParameterError as exc:
-        raise SnapshotFormatError(f"bad parameters: {exc}") from exc
-    sketch = ChhSketch(params)
-    sketch.n = n
-    key = None
-    for _ in range(primary_count):
-        tokens = reader.expect_field(b"p").split(b" ")
-        if len(tokens) != 4:
-            raise SnapshotFormatError(f"malformed primary entry line {tokens!r}")
-        key = _parse_key(tokens[0], key)
-        est_count = _parse_int(tokens[1])
-        inner = MgSummary(s2)
-        inner.items_seen = _parse_int(tokens[2])
-        inner_count = _parse_int(tokens[3])
-        total = 0
-        skey = None
-        for _ in range(inner_count):
-            stokens = reader.expect_field(b"s").split(b" ")
-            if len(stokens) != 2:
-                raise SnapshotFormatError(f"malformed secondary entry line {stokens!r}")
-            skey = _parse_key(stokens[0], skey)
-            count = _parse_int(stokens[1])
-            inner._entries[skey] = count
-            total += count
-        if len(inner) > s2 or est_count < 1 or total > est_count:
-            raise SnapshotFormatError(
-                f"entry for key {key!r} violates sketch invariants"
-            )
-        sketch._table[key] = PrimaryEntry(est_count, inner)
-    if reader.next_line() != b"end":
-        raise SnapshotFormatError("missing end marker")
-    if len(sketch) > s1:
+        s1, s2, n = map(int, values[4:])
+        sketch = ChhSketch(ChhParams(phi1, phi2, eps1, eps2, s1, s2))
+        sketch.n = n
+        table = sketch._table
+        entries: dict[bytes, int] = {}  # `s` lines before the first `p` line land here
+        for line in lines[9:]:
+            fields = line.split(b" ")
+            if fields[0] == b"s":
+                _, key, count = fields
+                entries[unhexlify(key)] = int(count)
+            elif fields[0] == b"p":
+                _, key, est_count, items_seen, _ = fields
+                inner = MgSummary(s2)
+                inner.items_seen = int(items_seen)
+                entries = inner._entries
+                table[unhexlify(key)] = PrimaryEntry(int(est_count), inner)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise SnapshotFormatError(f"malformed snapshot: {exc}") from exc
+
+    # A live entry gains est_count and items_seen together and loses
+    # est_count (with one inner unit) on each outer shed, so inner total <=
+    # est_count <= items_seen; each tuple adds to exactly one items_seen.
+    seen = 0
+    for key, entry in table.items():
+        inner = entry.inner
+        counts = inner._entries.values()
+        if not (
+            len(inner) <= s2
+            and min(counts, default=1) >= 1
+            and 1 <= entry.est_count
+            and sum(counts) <= entry.est_count <= inner.items_seen
+        ):
+            raise SnapshotFormatError(f"entry for key {key!r} violates sketch invariants")
+        seen += inner.items_seen
+    if len(table) > s1:
         raise SnapshotFormatError("more primary entries than the outer capacity")
+    if seen > n:
+        raise SnapshotFormatError(f"the entries have seen {seen} tuples, but n is {n}")
+    if sketch_to_bytes(sketch) != data:
+        raise SnapshotFormatError("snapshot is not in the canonical form that save writes")
     return sketch
 
 
