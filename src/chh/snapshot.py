@@ -75,7 +75,10 @@ def sketch_from_bytes(data: bytes) -> ChhSketch:
         sketch = ChhSketch(ChhParams(phi1, phi2, eps1, eps2, s1, s2))
         sketch.n = n
         table = sketch._table
-        entries: dict[bytes, int] = {}  # `s` lines before the first `p` line land here
+        # The `primaries` line, the inner sizes and `end` are left to the
+        # re-save check, as are `s` lines before the first `p` line, which
+        # land in this throwaway dict.
+        entries: dict[bytes, int] = {}
         for line in lines[9:]:
             fields = line.split(b" ")
             if fields[0] == b"s":
@@ -108,7 +111,7 @@ def sketch_from_bytes(data: bytes) -> ChhSketch:
     if len(table) > s1:
         raise SnapshotFormatError("more primary entries than the outer capacity")
     if seen > n:
-        raise SnapshotFormatError(f"the entries have seen {seen} tuples, but n is {n}")
+        raise SnapshotFormatError("the entries have seen more tuples than n")
     if sketch_to_bytes(sketch) != data:
         raise SnapshotFormatError("snapshot is not in the canonical form that save writes")
     return sketch

@@ -82,6 +82,7 @@ def test_solver_params_roundtrip(tmp_path):
         lambda blob: blob.replace(b"n 4", b"n 0_4"),
         lambda blob: blob.replace(b"phi1 1/2", b"phi1 2/4"),  # unreduced fraction
         lambda blob: blob + b"end\n",  # bytes after the end marker
+        lambda blob: blob.replace(b"phi1 1/2", b"phi1 1e-5000"),  # exponent form
     ],
 )
 def test_corrupt_snapshots_rejected(mutate):
