@@ -20,6 +20,7 @@ from .oracle import (
     ExactChh,
     ExactCounts,
     TupleSource,
+    exact_chh_from_counts,
     exact_chh_multipass,
     require_replayable,
 )
@@ -99,16 +100,11 @@ def secondary_error_stats(
 ) -> ErrorStats:
     """Relative undercount (f_{d,s} - est_{d,s})/f_d over the exact heavy pairs."""
     _check_same_stream(exact, sketch)
-    phi1 = to_fraction(phi1, "phi1")
-    phi2 = to_fraction(phi2, "phi2")
-    n = exact.n
-    heavy = {d: c for d, c in exact.primary.items() if c > phi1 * n}
-    errors: list[tuple[ErrorItem, Fraction]] = []
-    for (d, s), count in sorted(exact.pairs.items()):
-        fd = heavy.get(d)
-        if fd is None or not count > phi2 * fd:
-            continue
-        errors.append(((d, s), Fraction(count - sketch.estimate_pair(d, s), fd)))
+    truth = exact_chh_from_counts(exact, phi1, phi2)
+    errors = [
+        ((d, s), Fraction(count - sketch.estimate_pair(d, s), truth.primaries[d]))
+        for (d, s), count in sorted(truth.pairs.items())
+    ]
     return _finish(errors, secondary_theoretical_max(sketch.params))
 
 

@@ -2,9 +2,10 @@
 
 Exact answers need more than one pass (or unbounded memory), so these
 routines are validation tools, not streaming algorithms. Two routes exist
-and must agree: a naive full count of every value and pair, and a four-pass
-scheme that first narrows each dimension to a bounded candidate set with an
-`MgSummary` and then counts only the candidates exactly.
+and must agree: a naive full count of every value and pair, and a three-pass
+scheme that narrows each dimension to a bounded candidate set with an
+`MgSummary` and then counts only the candidates exactly, holding at most
+ceil(1/phi1) primaries and ceil(1/phi1) * ceil(1/phi2) pairs.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ class ExactCounts:
     """True frequencies: every counted primary value and (primary, secondary) pair.
 
     Produced complete by :func:`exact_counts_naive`; the multipass route fills
-    it only for candidate primaries (and candidate pairs under surviving
-    heavy primaries), which is all the error statistics need.
+    it only for candidate primaries and the candidate pairs under every
+    candidate primary, which is all the error statistics need.
     """
 
     n: int
@@ -40,8 +41,9 @@ class ExactCounts:
 class ExactChh:
     """Exact heavy primaries and exact correlated heavy pairs, with counts.
 
-    Membership uses the strict definitions: f_d > phi1 * n for primaries and
-    f_{d,s} > phi2 * f_d for pairs under a heavy d.
+    Membership uses the strict definitions, applied in one place by
+    :func:`exact_chh_from_counts`: f_d above phi1 * n for primaries, and
+    f_{d,s} above phi2 * f_d for pairs under a heavy d.
     """
 
     n: int
@@ -112,14 +114,16 @@ def exact_chh_naive(
 def exact_chh_multipass(
     source: TupleSource, phi1: FractionLike, phi2: FractionLike
 ) -> ExactChh:
-    """Exact heavy pairs in four passes and bounded memory.
+    """Exact heavy pairs in three passes and bounded memory.
 
     Pass 1 collects primary candidates with a summary of capacity
     ceil(1/phi1); no value above the phi1 threshold can be shed from it.
-    Pass 2 counts the candidates exactly, keeping the true heavy primaries.
-    Pass 3 collects secondary candidates per heavy primary (one capacity
-    ceil(1/phi2) summary each, all filled in a single pass). Pass 4 counts
-    the candidate pairs exactly and applies the strict pair threshold.
+    Pass 2 counts each candidate exactly and feeds its secondaries to its own
+    summary of capacity ceil(1/phi2). That summary sees exactly the
+    candidate's sub-stream, so no secondary above phi2 * f_d is shed from it.
+    Pass 3 counts every candidate pair exactly. Memory is at most
+    ceil(1/phi1) primary counts and ceil(1/phi1) * ceil(1/phi2) pair counts;
+    the strict thresholds are applied by :func:`exact_chh_from_counts`.
     """
     phi1, phi2 = to_thresholds(phi1, phi2)
     require_replayable(source)
@@ -128,20 +132,15 @@ def exact_chh_multipass(
     for x, _ in source:
         candidates.update(x)
 
-    primary_counts = {key: 0 for key, _ in candidates.entries()}
-    n = 0
-    for x, _ in source:
-        n += 1
-        if x in primary_counts:
-            primary_counts[x] += 1
-    heavy = {d: c for d, c in primary_counts.items() if c > phi1 * n}
-
     inner_cap = math.ceil(1 / phi2)
-    secondary_candidates = {d: MgSummary(inner_cap) for d in heavy}
+    secondary_candidates = {d: MgSummary(inner_cap) for d, _ in candidates.entries()}
+    n = 0
     for x, y in source:
+        n += 1
         summary = secondary_candidates.get(x)
         if summary is not None:
             summary.update(y)
+    primary_counts = {d: summary.items_seen for d, summary in secondary_candidates.items()}
 
     pair_counts = {
         (d, skey): 0

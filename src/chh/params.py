@@ -8,6 +8,7 @@ here, not 3.0000000000000004.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
@@ -17,13 +18,18 @@ from .errors import InvalidParameterError, check_positive_int
 
 FractionLike = Union[Fraction, int, float, str]
 
+# The digit limit that int(str) puts on each side of the "num/den" form.
+_MAX_DIGITS = sys.int_info.default_max_str_digits
+
 
 def to_fraction(value: FractionLike, name: str = "value") -> Fraction:
     """Convert ``value`` to an exact rational.
 
     Floats are read through their shortest decimal repr, so 0.1 means exactly
     1/10 rather than the nearest binary double. Strings accept finite
-    decimal ("0.35"), ratio ("7/20"), and scientific ("1e-3") forms.
+    decimal ("0.35"), ratio ("7/20"), and scientific ("1e-3") forms. A
+    decimal that spells out to more than 4300 digits is rejected, so
+    "1e-999999999" fails at once instead of building ``10**999999999``.
     """
     if isinstance(value, Fraction):
         return value
@@ -39,7 +45,12 @@ def to_fraction(value: FractionLike, name: str = "value") -> Fraction:
         try:
             if "/" in value:
                 return Fraction(value)
-            return Fraction(Decimal(value))
+            decimal = Decimal(value)
+            if decimal.is_finite():
+                _, digits, exponent = decimal.as_tuple()
+                if len(digits) + abs(exponent) > _MAX_DIGITS:
+                    raise ValueError(f"more than {_MAX_DIGITS} digits when written out")
+            return Fraction(decimal)
         except (ValueError, ZeroDivisionError, InvalidOperation, OverflowError) as exc:
             raise InvalidParameterError(f"cannot parse {name}={value!r}: {exc}") from exc
     raise InvalidParameterError(f"cannot interpret {name}={value!r} as a rational")
@@ -179,4 +190,10 @@ def solve_params(
         s2 = math.ceil(1 / (eps2 - alpha * eps1))
     while Fraction(1, s2) + alpha / s1 > eps2:
         s2 += 1
+    limit = sys.get_int_max_str_digits()
+    if limit and max(s1, s2) >= 10**limit:
+        raise InvalidParameterError(
+            f"solved table sizes have more than {limit} decimal digits; "
+            "raise eps1 or eps2"
+        )
     return ChhParams(phi1, phi2, eps1, eps2, s1, s2)

@@ -6,17 +6,22 @@ Zipf distribution and, within each primary value, secondary values from a
 second Zipf distribution whose rank order is permuted per primary value.
 That way different popular primaries favour different secondaries, which is
 what exercises the per-primary inner tables.
+
+numpy is imported inside the functions that draw or weight ranks, so the
+rest of the package (and every CLI command but ``generate``) runs without
+loading it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator
 
 from .errors import InvalidParameterError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _CHUNK = 1 << 16
 
@@ -48,6 +53,8 @@ class ZipfWorkloadSpec:
 
 def zipf_probabilities(domain: int, skew: float) -> np.ndarray:
     """Probability of each rank 1..domain under Zipf(skew); skew 0 is uniform."""
+    import numpy as np
+
     ranks = np.arange(1, domain + 1, dtype=np.float64)
     weights = ranks ** (-float(skew))
     return weights / weights.sum()
@@ -63,6 +70,8 @@ class ZipfStream:
     """
 
     def __init__(self, spec: ZipfWorkloadSpec):
+        import numpy as np
+
         self.spec = spec
         self._primary_cdf = np.cumsum(
             zipf_probabilities(spec.primary_domain, spec.primary_skew)
@@ -81,6 +90,8 @@ class ZipfStream:
         ]
 
     def _permutation_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        import numpy as np
+
         spec = self.spec
         m = spec.secondary_domain
         rng = np.random.default_rng([spec.seed & 0xFFFFFFFFFFFFFFFF, 0x5EC0])
@@ -100,6 +111,8 @@ class ZipfStream:
         return self._generate()
 
     def _generate(self) -> Iterator[tuple[bytes, bytes]]:
+        import numpy as np
+
         spec = self.spec
         rng = np.random.default_rng(spec.seed & 0xFFFFFFFFFFFFFFFF)
         m = spec.secondary_domain

@@ -34,6 +34,19 @@ def random_tuple_stream(seed, length, primaries, secondaries):
     ]
 
 
+class CountingSource:
+    """Replayable source that counts every tuple it yields, across passes."""
+
+    def __init__(self, tuples):
+        self.tuples = tuples
+        self.yielded = 0
+
+    def __iter__(self):
+        for item in self.tuples:
+            self.yielded += 1
+            yield item
+
+
 @pytest.fixture
 def tiny_stream():
     return [(b"a", b"p"), (b"a", b"p"), (b"a", b"q"), (b"b", b"p")]

@@ -113,6 +113,10 @@ def test_usage_errors_exit_one():
                      "--eps1", "0.01", "--eps2", "0.05"]) == 1
         assert main(["build", "--phi1", non_finite, "--phi2", "0.1",
                      "--s1", "4", "--s2", "4", "--out", "unused.snap"]) == 1
+    # s1 would have 4301 digits, more than the interpreter formats
+    huge = ["--phi1", "0.1", "--phi2", "0.1", "--eps1", "0.05", "--eps2", "1e-4299"]
+    assert main(["solve-params", *huge]) == 1
+    assert main(["build", *huge, "--out", "unused.snap"]) == 1
 
 
 def test_build_flag_combinations_rejected(tmp_path):

@@ -17,7 +17,7 @@ from chh import (
     sweep_csv_lines,
     ZipfWorkloadSpec,
 )
-from conftest import random_tuple_stream
+from conftest import CountingSource, random_tuple_stream
 
 
 def build(params, stream):
@@ -143,24 +143,19 @@ def test_sweep_rejects_empty_lists():
         sweep([(b"a", b"b")], "0.5", "0.5", [], [4])
 
 
-class CountingSource:
-    """Replayable source that counts every tuple it yields, across passes."""
-
-    def __init__(self, tuples):
-        self.tuples = tuples
-        self.yielded = 0
-
-    def __iter__(self):
-        for item in self.tuples:
-            self.yielded += 1
-            yield item
-
-
 def test_sweep_rejects_bad_size_before_reading():
     source = CountingSource([(b"a", b"b")] * 10)
     with pytest.raises(InvalidParameterError):
         sweep(source, "0.5", "0.5", [4, 0], [2])
     assert source.yielded == 0
+
+
+def test_sweep_reads_three_oracle_passes_and_one_per_configuration():
+    tuples = random_tuple_stream(24, 300, primaries=12, secondaries=6)
+    source = CountingSource(tuples)
+    rows = sweep(source, "0.1", "0.2", [10, 20], [4, 8])
+    assert len(rows) == 4
+    assert source.yielded == (3 + 4) * len(tuples)
 
 
 def test_sweep_csv_layout():

@@ -1,4 +1,9 @@
+import math
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chh import (
     InvalidParameterError,
@@ -9,7 +14,7 @@ from chh import (
     exact_chh_naive,
     exact_counts_naive,
 )
-from conftest import random_tuple_stream
+from conftest import CountingSource, random_tuple_stream
 
 
 def test_multipass_worked_example():
@@ -101,3 +106,39 @@ def test_multipass_pair_counts_bounded_by_primary_counts():
     result = exact_chh_multipass(stream, "0.05", "0.05")
     for (d, _), count in result.counts.pairs.items():
         assert count <= result.counts.primary[d]
+
+
+def test_multipass_reads_the_source_three_times():
+    tuples = random_tuple_stream(5, 400, primaries=10, secondaries=5)
+    source = CountingSource(tuples)
+    exact_chh_multipass(source, "0.1", "0.2")
+    assert source.yielded == 3 * len(tuples)
+
+
+# 1/k thresholds make exact ties f_d = phi1 * n and f_{d,s} = phi2 * f_d common.
+small_rationals = st.one_of(
+    st.integers(2, 8).map(lambda k: Fraction(1, k)),
+    st.tuples(st.integers(1, 9), st.integers(2, 10))
+    .filter(lambda t: t[0] < t[1])
+    .map(lambda t: Fraction(*t)),
+)
+
+
+@settings(max_examples=300)
+@given(
+    stream=st.lists(
+        st.tuples(st.sampled_from([b"a", b"b", b"c", b"d"]), st.sampled_from([b"p", b"q", b"r"])),
+        max_size=40,
+    ),
+    phi1=small_rationals,
+    phi2=small_rationals,
+)
+def test_multipass_equals_naive_at_any_threshold(stream, phi1, phi2):
+    multipass = exact_chh_multipass(stream, phi1, phi2)
+    naive = exact_chh_naive(stream, phi1, phi2)
+    assert multipass.n == naive.n
+    assert multipass.primaries == naive.primaries
+    assert multipass.pairs == naive.pairs
+    # the memory bound: candidate primaries, and candidate pairs under them
+    assert len(multipass.counts.primary) <= math.ceil(1 / phi1)
+    assert len(multipass.counts.pairs) <= math.ceil(1 / phi1) * math.ceil(1 / phi2)

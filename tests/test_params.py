@@ -18,9 +18,9 @@ def test_to_fraction_variants():
         to_fraction("abc")
     with pytest.raises(InvalidParameterError):
         to_fraction(float("nan"))
-    for non_finite in ("inf", "-Infinity"):
+    for unbounded in ("inf", "-Infinity", "1e-5000", "1e5000"):
         with pytest.raises(InvalidParameterError):
-            to_fraction(non_finite)
+            to_fraction(unbounded)
     with pytest.raises(InvalidParameterError):
         to_fraction(True)
 

@@ -1,3 +1,5 @@
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -95,3 +97,8 @@ def test_invalid_specs_rejected():
         spec(primary_skew=-0.5)
     with pytest.raises(InvalidParameterError):
         spec(secondary_skew=float("inf"))
+
+
+def test_package_and_cli_import_without_numpy():
+    code = "import sys, chh, chh.cli; sys.exit('numpy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
