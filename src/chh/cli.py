@@ -112,7 +112,11 @@ def _cmd_generate(args) -> int:
         secondary_skew=args.skew2,
         seed=args.seed,
     )
-    write_tuples(args.out, generate_zipf(spec))
+    try:
+        stream = generate_zipf(spec)
+    except ImportError as exc:
+        raise InvalidParameterError(f"generate needs numpy: {exc}") from exc
+    write_tuples(args.out, stream)
     return EXIT_OK
 
 
@@ -207,7 +211,7 @@ def _cmd_exact(args) -> int:
 
 def _parse_int_list(text: str, name: str) -> list[int]:
     try:
-        values = [int(token) for token in text.split(",") if token != ""]
+        values = [int(token) for token in text.split(",")]
     except ValueError as exc:
         raise InvalidParameterError(f"{name} must be comma-separated integers: {exc}")
     return values

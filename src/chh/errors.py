@@ -17,9 +17,8 @@ class InvalidParameterError(ChhError, ValueError):
 class MalformedLineError(ChhError, ValueError):
     """An input line could not be parsed as a tab-separated tuple."""
 
-    def __init__(self, line_number: int, line: bytes = b""):
+    def __init__(self, line_number: int):
         self.line_number = line_number
-        self.line = line
         super().__init__(f"line {line_number}: no tab separator")
 
 

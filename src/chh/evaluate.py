@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import IO, Iterable, Sequence, Union
-
 from pathlib import Path
+from typing import Iterable, Sequence, Union
 
 from .errors import InconsistentInputError, InvalidParameterError
 from .oracle import (
@@ -34,30 +33,29 @@ ErrorItem = Union[bytes, tuple[bytes, bytes]]
 class ErrorStats:
     """Per-item relative undercounts plus their max, mean, and ceiling.
 
-    ``empty`` flags a measurement over zero items, in which case max and
-    mean are reported as 0.
+    A measurement over zero items is ``empty`` and reports max and mean as 0.
     """
 
     per_item_errors: list[tuple[ErrorItem, Fraction]]
     max_error: Fraction
     avg_error: Fraction
     theoretical_max: Fraction
-    empty: bool
+
+    @property
+    def empty(self) -> bool:
+        """True when the measurement covered no items."""
+        return not self.per_item_errors
 
 
 def _finish(
     errors: list[tuple[ErrorItem, Fraction]], theoretical_max: Fraction
 ) -> ErrorStats:
-    if not errors:
-        zero = Fraction(0)
-        return ErrorStats([], zero, zero, theoretical_max, empty=True)
     values = [err for _, err in errors]
     return ErrorStats(
         per_item_errors=errors,
-        max_error=max(values),
-        avg_error=sum(values, Fraction(0)) / len(values),
+        max_error=max(values, default=Fraction(0)),
+        avg_error=sum(values, Fraction(0)) / max(len(values), 1),
         theoretical_max=theoretical_max,
-        empty=False,
     )
 
 
@@ -137,8 +135,6 @@ def sweep(
     checked before the first pass over ``source``.
     """
     require_replayable(source)
-    phi1 = to_fraction(phi1, "phi1")
-    phi2 = to_fraction(phi2, "phi2")
     if not s1_values or not s2_values:
         raise InvalidParameterError("s1_values and s2_values must be non-empty")
     configs = [ChhParams.from_raw(phi1, phi2, s1, s2) for s1 in s1_values for s2 in s2_values]
@@ -196,9 +192,5 @@ def sweep_csv_lines(rows: Iterable[SweepRow]) -> list[str]:
     return lines
 
 
-def write_sweep_csv(rows: Iterable[SweepRow], destination: str | Path | IO[bytes]) -> None:
-    payload = ("\n".join(sweep_csv_lines(rows)) + "\n").encode("ascii")
-    if isinstance(destination, (str, Path)):
-        Path(destination).write_bytes(payload)
-    else:
-        destination.write(payload)
+def write_sweep_csv(rows: Iterable[SweepRow], path: str | Path) -> None:
+    Path(path).write_bytes(("\n".join(sweep_csv_lines(rows)) + "\n").encode("ascii"))

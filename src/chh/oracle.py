@@ -5,7 +5,7 @@ routines are validation tools, not streaming algorithms. Two routes exist
 and must agree: a naive full count of every value and pair, and a three-pass
 scheme that narrows each dimension to a bounded candidate set with an
 `MgSummary` and then counts only the candidates exactly, holding at most
-ceil(1/phi1) primaries and ceil(1/phi1) * ceil(1/phi2) pairs.
+ceil(1/phi1) - 1 primaries and (ceil(1/phi1) - 1) * (ceil(1/phi2) - 1) pairs.
 """
 
 from __future__ import annotations
@@ -46,10 +46,14 @@ class ExactChh:
     f_{d,s} above phi2 * f_d for pairs under a heavy d.
     """
 
-    n: int
     primaries: dict[bytes, int]
     pairs: dict[tuple[bytes, bytes], int]
     counts: ExactCounts
+
+    @property
+    def n(self) -> int:
+        """Stream length, taken from the exact counts."""
+        return self.counts.n
 
     def sorted_pairs(self) -> list[tuple[bytes, bytes, int]]:
         return [(d, s, c) for (d, s), c in sorted(self.pairs.items())]
@@ -64,22 +68,20 @@ def require_replayable(source: TupleSource) -> None:
         )
 
 
-def exact_counts_naive(
-    source: TupleSource, max_tuples: int = DEFAULT_TUPLE_CAP
-) -> ExactCounts:
+def exact_counts_naive(source: TupleSource) -> ExactCounts:
     """Count every distinct primary value and every distinct pair in memory.
 
-    Only viable at desk scale; ``max_tuples`` guards against feeding it a
-    stream that should have gone to the sketch instead.
+    Only viable at desk scale: a stream of more than ``DEFAULT_TUPLE_CAP``
+    tuples should go to the sketch instead and raises `ResourceLimitError`.
     """
     primary: dict[bytes, int] = {}
     pairs: dict[tuple[bytes, bytes], int] = {}
     n = 0
     for x, y in source:
         n += 1
-        if n > max_tuples:
+        if n > DEFAULT_TUPLE_CAP:
             raise ResourceLimitError(
-                f"stream exceeds the naive counting cap of {max_tuples} tuples"
+                f"stream exceeds the naive counting cap of {DEFAULT_TUPLE_CAP} tuples"
             )
         primary[x] = primary.get(x, 0) + 1
         key = (x, y)
@@ -99,16 +101,11 @@ def exact_chh_from_counts(
         for (d, s), c in counts.pairs.items()
         if d in heavy and c > phi2 * heavy[d]
     }
-    return ExactChh(n=n, primaries=heavy, pairs=heavy_pairs, counts=counts)
+    return ExactChh(primaries=heavy, pairs=heavy_pairs, counts=counts)
 
 
-def exact_chh_naive(
-    source: TupleSource,
-    phi1: FractionLike,
-    phi2: FractionLike,
-    max_tuples: int = DEFAULT_TUPLE_CAP,
-) -> ExactChh:
-    return exact_chh_from_counts(exact_counts_naive(source, max_tuples), phi1, phi2)
+def exact_chh_naive(source: TupleSource, phi1: FractionLike, phi2: FractionLike) -> ExactChh:
+    return exact_chh_from_counts(exact_counts_naive(source), phi1, phi2)
 
 
 def exact_chh_multipass(
@@ -116,23 +113,28 @@ def exact_chh_multipass(
 ) -> ExactChh:
     """Exact heavy pairs in three passes and bounded memory.
 
-    Pass 1 collects primary candidates with a summary of capacity
-    ceil(1/phi1); no value above the phi1 threshold can be shed from it.
-    Pass 2 counts each candidate exactly and feeds its secondaries to its own
-    summary of capacity ceil(1/phi2). That summary sees exactly the
-    candidate's sub-stream, so no secondary above phi2 * f_d is shed from it.
-    Pass 3 counts every candidate pair exactly. Memory is at most
-    ceil(1/phi1) primary counts and ceil(1/phi1) * ceil(1/phi2) pair counts;
-    the strict thresholds are applied by :func:`exact_chh_from_counts`.
+    Both candidate summaries have capacity ceil(1/phi) - 1 for their phi.
+    That suffices: a summary of capacity c that has seen m items undercounts
+    by at most m/(c+1), and here c+1 = ceil(1/phi) >= 1/phi, so the
+    undercount is at most phi*m and a value seen more than phi*m times keeps
+    a positive count. Since phi < 1, the capacity is at least 1.
+
+    Pass 1 collects primary candidates, so no value above the phi1 threshold
+    is missed. Pass 2 counts each candidate exactly and feeds its
+    secondaries to its own summary, which sees exactly the candidate's
+    sub-stream, so no secondary above phi2 * f_d is missed. Pass 3 counts
+    every candidate pair exactly. Memory is at most ceil(1/phi1) - 1 primary
+    counts and (ceil(1/phi1) - 1) * (ceil(1/phi2) - 1) pair counts; the
+    strict thresholds are applied by :func:`exact_chh_from_counts`.
     """
     phi1, phi2 = to_thresholds(phi1, phi2)
     require_replayable(source)
 
-    candidates = MgSummary(math.ceil(1 / phi1))
+    candidates = MgSummary(math.ceil(1 / phi1) - 1)
     for x, _ in source:
         candidates.update(x)
 
-    inner_cap = math.ceil(1 / phi2)
+    inner_cap = math.ceil(1 / phi2) - 1
     secondary_candidates = {d: MgSummary(inner_cap) for d, _ in candidates.entries()}
     n = 0
     for x, y in source:

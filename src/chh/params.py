@@ -169,8 +169,9 @@ def solve_params(
     * otherwise the first constraint binds: s1 = 1/eps1 and
       s2 = 1/(eps2 - alpha*eps1) (case "II").
 
-    Sizes are rounded up to integers; rounding can only slacken the
-    constraints, but a repair loop guards the second one anyway.
+    Sizes are rounded up to integers, which can only slacken the
+    constraints: in case I, 1/s2 + alpha/s1 <= eps2/2 + eps2/2, and in case
+    II, 1/s2 + alpha/s1 <= (eps2 - alpha*eps1) + alpha*eps1.
     """
     phi1, phi2 = to_thresholds(phi1, phi2)
     eps1 = to_fraction(eps1, "eps1")
@@ -188,8 +189,6 @@ def solve_params(
     else:
         s1 = math.ceil(1 / eps1)
         s2 = math.ceil(1 / (eps2 - alpha * eps1))
-    while Fraction(1, s2) + alpha / s1 > eps2:
-        s2 += 1
     limit = sys.get_int_max_str_digits()
     if limit and max(s1, s2) >= 10**limit:
         raise InvalidParameterError(

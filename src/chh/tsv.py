@@ -11,7 +11,7 @@ from __future__ import annotations
 import sys
 from contextlib import nullcontext
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .errors import InvalidParameterError, MalformedLineError, UnsupportedSourceError
 
@@ -53,24 +53,20 @@ class TsvTupleSource:
                 if tab:
                     yield x, y
                 elif self.strict:
-                    raise MalformedLineError(number, line)
+                    raise MalformedLineError(number)
                 else:
                     self.skipped_lines += 1
 
 
-def write_tuples(
-    destination: str | Path | IO[bytes], tuples: Iterable[tuple[bytes, bytes]]
-) -> int:
-    """Write tuples as tab-separated lines; returns the number written.
+def write_tuples(path: str | Path, tuples: Iterable[tuple[bytes, bytes]]) -> int:
+    """Write tuples to ``path`` as tab-separated lines; returns the number written.
 
     Fields must not contain the separator or a line terminator, otherwise
     the file would not parse back to the same stream.
     """
-    own = isinstance(destination, (str, Path))
-    handle: IO[bytes] = open(destination, "wb") if own else destination  # type: ignore[arg-type]
     count = 0
     batch: list[bytes] = []
-    try:
+    with open(path, "wb") as handle:
         for x, y in tuples:
             if b"\t" in x or b"\n" in x or b"\r" in x or b"\t" in y or b"\n" in y or b"\r" in y:
                 raise InvalidParameterError(
@@ -81,9 +77,5 @@ def write_tuples(
             if len(batch) >= 4096:
                 handle.write(b"".join(batch))
                 batch.clear()
-        if batch:
-            handle.write(b"".join(batch))
-    finally:
-        if own:
-            handle.close()
+        handle.write(b"".join(batch))
     return count

@@ -108,7 +108,9 @@ def _check_stream(totals: SuiteTotals, raw_params, skew1, skew2, size, seed):
         secondary_skew=skew2,
         seed=seed,
     )
-    stream = generate_zipf(spec)
+    # Generated once: the sketch, the naive counts and the three oracle
+    # passes all read the same list.
+    stream = list(generate_zipf(spec))
 
     sketch, inner_violations = _build_checked(params, stream, per_update=size == SMALL_STREAM)
     totals.inner_sum += inner_violations

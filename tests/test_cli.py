@@ -117,6 +117,10 @@ def test_usage_errors_exit_one():
     huge = ["--phi1", "0.1", "--phi2", "0.1", "--eps1", "0.05", "--eps2", "1e-4299"]
     assert main(["solve-params", *huge]) == 1
     assert main(["build", *huge, "--out", "unused.snap"]) == 1
+    # size lists are parsed before the (absent) input is opened
+    for sizes in ("1000,,2000", "1000,"):
+        assert main(["evaluate", "--in", "unused.tsv", "--phi1", "0.1", "--phi2", "0.1",
+                     "--s1-list", sizes, "--s2-list", "20", "--out", "unused.csv"]) == 1
 
 
 def test_build_flag_combinations_rejected(tmp_path):
@@ -151,6 +155,11 @@ def test_resource_limit_exits_three(tmp_path, monkeypatch):
         raise ResourceLimitError("cap exceeded")
 
     monkeypatch.setattr(chh.cli, "exact_chh_naive", blow_up)
+    assert main(["exact", "--in", str(stream), "--phi1", "0.5",
+                 "--phi2", "0.5", "--method", "naive"]) == 3
+    monkeypatch.undo()
+    write_stream(stream, [(b"a", b"b")] * 3)
+    monkeypatch.setattr("chh.oracle.DEFAULT_TUPLE_CAP", 2)
     assert main(["exact", "--in", str(stream), "--phi1", "0.5",
                  "--phi2", "0.5", "--method", "naive"]) == 3
 
@@ -295,3 +304,21 @@ def test_golden_outputs_on_quirky_lines(tmp_path):
                         "--s1-list", "4,8", "--s2-list", "2,3", "--out", str(out))
     assert (evaluated.returncode, evaluated.stderr) == (0, SKIP_WARNING)
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SWEEP_SHA256
+
+
+def test_generate_without_numpy_is_a_usage_error(tmp_path):
+    out = tmp_path / "x.tsv"
+    code = (
+        "import sys; sys.modules['numpy'] = None\n"
+        "from chh.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code, "generate", "--n", "10", "--primary-domain", "20",
+         "--secondary-domain", "3", "--out", str(out)],
+        capture_output=True,
+    )
+    assert result.returncode == 1
+    assert b"chh: error:" in result.stderr and b"numpy" in result.stderr
+    assert b"Traceback" not in result.stderr
+    assert not out.exists()

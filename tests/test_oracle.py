@@ -63,10 +63,11 @@ def test_empty_stream():
     assert exact_chh_multipass([], "0.5", "0.5").pairs == {}
 
 
-def test_naive_cap_enforced():
+def test_naive_cap_enforced(monkeypatch):
+    monkeypatch.setattr("chh.oracle.DEFAULT_TUPLE_CAP", 5)
     stream = [(b"a", b"b")] * 10
     with pytest.raises(ResourceLimitError):
-        exact_counts_naive(stream, max_tuples=5)
+        exact_counts_naive(stream)
 
 
 def test_one_shot_iterator_rejected():
@@ -140,5 +141,5 @@ def test_multipass_equals_naive_at_any_threshold(stream, phi1, phi2):
     assert multipass.primaries == naive.primaries
     assert multipass.pairs == naive.pairs
     # the memory bound: candidate primaries, and candidate pairs under them
-    assert len(multipass.counts.primary) <= math.ceil(1 / phi1)
-    assert len(multipass.counts.pairs) <= math.ceil(1 / phi1) * math.ceil(1 / phi2)
+    assert len(multipass.counts.primary) <= math.ceil(1 / phi1) - 1
+    assert len(multipass.counts.pairs) <= (math.ceil(1 / phi1) - 1) * (math.ceil(1 / phi2) - 1)

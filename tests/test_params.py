@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chh import ChhParams, InvalidParameterError, solve_params, to_fraction
@@ -152,3 +152,17 @@ def test_direct_construction_validates_ranges():
         ChhParams(Fraction(1, 10), Fraction(1, 10), Fraction(1, 10), Fraction(1, 10), 10, 10)
     params = ChhParams("0.1", "0.1", "0.05", "0.1", 440, 20)
     assert params.phi1 == Fraction(1, 10)
+
+
+# Random rationals: min/(max + 1) lies in (0, 1), min/max in (0, 1].
+integer_pairs = st.tuples(st.integers(1, 10**6), st.integers(1, 10**6))
+below_one = integer_pairs.map(lambda t: Fraction(min(t), max(t) + 1))
+up_to_one = integer_pairs.map(lambda t: Fraction(min(t), max(t)))
+
+
+@settings(max_examples=300)
+@given(phi1=below_one, phi2=below_one, t1=up_to_one, t2=up_to_one)
+def test_solved_sizes_always_feasible(phi1, phi2, t1, t2):
+    # eps1 = phi1*t1/2 spans (0, phi1/2] and eps2 = phi2*t2 spans (0, phi2]
+    params = solve_params(phi1, phi2, phi1 * t1 / 2, phi2 * t2)
+    assert params.constraints_satisfied()
