@@ -1,10 +1,12 @@
+import hashlib
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from chh import ChhParams, ChhSketch, solve_params
+from chh import ChhParams, ChhSketch, sketch_to_bytes, solve_params
 from conftest import random_tuple_stream, true_counts
 
 pair = st.tuples(st.binary(max_size=2), st.binary(max_size=2))
@@ -182,3 +184,57 @@ def test_queries_valid_at_any_prefix():
             for p in report.primaries:
                 assert p.est_count >= floor
                 assert p.est_count <= primary[p.key]
+
+
+def churn_shaped_stream():
+    """Full outer and inner tables, then new primaries that force outer rounds.
+
+    Eight cold primaries bring six distinct secondaries each (s1=8, s2=6),
+    one to three times over, so every inner table is full before the first
+    shed. Then twelve new primaries arrive, one tuple each, and most rounds
+    meet inner tables that no update has touched since the previous round;
+    every third new primary is followed by a tuple for a cold primary, which
+    touches one of them again.
+    """
+    cold = [b"c%d" % i for i in range(8)]
+    stream = [
+        (d, b"s%d" % ((i * 5 + j) % 9))
+        for i, d in enumerate(cold)
+        for j in range(6)
+        for _ in range(1 + (i + j) % 3)
+    ]
+    for t in range(12):
+        stream.append((b"t%02d" % t, b"s%d" % (t % 4)))
+        if t % 3 == 2:
+            stream.append((cold[t % 8], b"s%d" % (8 - t % 9)))
+    return stream
+
+
+def zipf_stream(seed, length, primaries, secondaries):
+    """Seeded two-level Zipf stream (exponent 1) over integer-labelled keys."""
+    rng = random.Random(seed)
+    xs = rng.choices(range(primaries), weights=[1 / k for k in range(1, primaries + 1)], k=length)
+    weights = [1 / k for k in range(1, secondaries + 1)]
+    return [(b"%d" % x, b"%d" % rng.choices(range(secondaries), weights=weights)[0]) for x in xs]
+
+
+@pytest.mark.parametrize(
+    "stream, s1, s2, outer_sweeps, digest",
+    [
+        (
+            churn_shaped_stream(), 8, 6, 12,
+            "efc12fb6d84ebe858367c60ea2d9598bda9407fc073dbb151046c82d50043ba9",
+        ),
+        (
+            zipf_stream(5, 3000, 200, 12), 30, 5, 68,
+            "d241d52f71012aa1903c656a3952dcaae1c59e3c33964459cf8d02080a7b3c78",
+        ),
+    ],
+    ids=["churn", "zipf"],
+)
+def test_golden_snapshot_bytes_on_shed_heavy_streams(stream, s1, s2, outer_sweeps, digest):
+    # Pins the exact state after many outer rounds, including rounds that meet
+    # inner tables left untouched since the previous round.
+    sketch = run_sketch(ChhParams.from_raw("0.1", "0.2", s1, s2), stream)
+    assert sketch.outer_sweeps == outer_sweeps
+    assert hashlib.sha256(sketch_to_bytes(sketch)).hexdigest() == digest
