@@ -11,12 +11,16 @@ cannot exceed the total inserted mass.
 
 The shed round is eager: it touches every stored entry, so an update costs
 O(capacity) when it sheds and O(1) otherwise. The nested two-dimensional
-sketch also needs the single-entry decrement `decrement_least_key`, which
-finds the smallest retained key with ``min()`` and so costs O(capacity) on
-every call.
+sketch also needs the single-entry decrement `decrement_least_key`. On a
+summary updated since its last decrement it finds the smallest retained key
+with ``min()``, in O(capacity). A summary decremented again with no update in
+between keeps its keys in a heap, built once in O(capacity), so each further
+decrement costs O(1), or O(log capacity) when the key leaves.
 """
 
 from __future__ import annotations
+
+from heapq import heapify, heappop
 
 from .errors import check_positive_int
 
@@ -31,7 +35,7 @@ class MgSummary:
             items_seen // (capacity + 1)).
     """
 
-    __slots__ = ("capacity", "items_seen", "sweeps", "_entries")
+    __slots__ = ("capacity", "items_seen", "sweeps", "_entries", "_heap", "_heap_seen")
 
     def __init__(self, capacity: int):
         check_positive_int(capacity, "capacity")
@@ -39,6 +43,10 @@ class MgSummary:
         self.items_seen = 0
         self.sweeps = 0
         self._entries: dict[bytes, int] = {}
+        # items_seen at the last decrement_least_key call (-1: none yet); while
+        # it still matches, _heap, once built, holds exactly the retained keys.
+        self._heap: list[bytes] | None = None
+        self._heap_seen = -1
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -101,13 +109,32 @@ class MgSummary:
         Drops the key when its count reaches zero. Used by the nested sketch,
         which must shed one inner unit per outer unit; picking the smallest
         key makes runs reproducible where any retained key would be correct.
-        Does not count as an observed item. The summary must be non-empty;
-        on an empty one ``min()`` raises ``ValueError``.
+        Does not count as an observed item. Raises ``ValueError`` on an empty
+        summary.
+
+        Every other change to the keys happens inside `update`, which bumps
+        ``items_seen``. So the first call after an update finds the key with
+        ``min()`` in O(len(self)) and notes ``items_seen``; a later call that
+        finds it unchanged works on a heap of the keys, built once in
+        O(len(self)) and popped whenever a key leaves, in O(log len(self)).
         """
         entries = self._entries
-        key = min(entries)
+        if not entries:
+            raise ValueError("decrement_least_key() on an empty summary")
+        heap = self._heap
+        if self._heap_seen == self.items_seen:
+            if heap is None:
+                heap = self._heap = list(entries)
+                heapify(heap)
+            key = heap[0]
+        else:
+            self._heap_seen = self.items_seen
+            heap = self._heap = None
+            key = min(entries)
         count = entries[key]
         if count == 1:
             del entries[key]
+            if heap is not None:
+                heappop(heap)
         else:
             entries[key] = count - 1

@@ -1,7 +1,7 @@
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chh import InvalidParameterError, MgSummary
@@ -104,3 +104,55 @@ def test_decrement_least_key_picks_smallest_and_drops_zero():
     assert summary.total() == 1
     # not an observed item
     assert summary.items_seen == 3
+
+
+def test_decrement_least_key_on_empty_summary_raises_value_error():
+    with pytest.raises(ValueError):
+        MgSummary(3).decrement_least_key()
+
+    emptied = MgSummary(3)
+    emptied.update(b"a")
+    emptied.update(b"b")
+    emptied.decrement_least_key()
+    emptied.decrement_least_key()
+    assert len(emptied) == 0
+    # no update since: these calls take the key-heap path
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            emptied.decrement_least_key()
+
+
+small_keys = st.sampled_from([b"", b"a", b"b", b"c", b"d", b"e", b"f", b"g"])
+# A key is an update; None is one decrement_least_key call, in runs of 1 to 8.
+operations = st.lists(
+    st.one_of(small_keys.map(lambda key: [key]), st.integers(1, 8).map(lambda run: [None] * run)),
+    max_size=80,
+).map(lambda runs: [step for run in runs for step in run])
+
+
+@settings(max_examples=300)
+@given(st.integers(min_value=1, max_value=6), operations)
+def test_decrements_interleaved_with_updates_match_a_min_model(capacity, steps):
+    # Runs of decrements with no update in between may be served from a
+    # cached key order; the model recomputes min() every time.
+    summary = MgSummary(capacity)
+    model: dict[bytes, int] = {}
+    seen = 0
+    for key in steps:
+        if key is not None:
+            summary.update(key)
+            seen += 1
+            model[key] = model.get(key, 0) + 1
+            if len(model) > capacity:
+                model = {k: count - 1 for k, count in model.items() if count > 1}
+        elif model:
+            summary.decrement_least_key()
+            least = min(model)
+            model[least] -= 1
+            if model[least] == 0:
+                del model[least]
+        else:
+            with pytest.raises(ValueError):
+                summary.decrement_least_key()
+        assert summary.entries() == sorted(model.items())
+        assert summary.items_seen == seen
