@@ -116,7 +116,7 @@ def test_decrement_least_key_on_empty_summary_raises_value_error():
     emptied.decrement_least_key()
     emptied.decrement_least_key()
     assert len(emptied) == 0
-    # no update since: these calls take the key-heap path
+    # no update since it was emptied, so these calls find the mark unchanged
     for _ in range(2):
         with pytest.raises(ValueError):
             emptied.decrement_least_key()
