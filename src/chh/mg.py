@@ -15,7 +15,9 @@ sketch also needs the single-entry decrement `decrement_least_key`. On a
 summary updated since its last decrement it finds the smallest retained key
 with ``min()``, in O(capacity). A summary decremented again with no update in
 between keeps its keys in a heap, built once in O(capacity), so each further
-decrement costs O(1), or O(log capacity) when the key leaves.
+decrement costs O(1), or O(log capacity) when the key leaves. The heap holds at
+most ``capacity`` key references and is dropped at the first decrement after
+an update.
 """
 
 from __future__ import annotations

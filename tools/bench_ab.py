@@ -5,15 +5,14 @@ Usage, from the root of the change's checkout:
 
     git clone -q . ../parent && git -C ../parent checkout -q PARENT_SHA
     python3 tools/bench_ab.py --parent ../parent --out BENCH_7.json \\
-        --pairs zipf=3,churn=10,wide=3 --traced churn --seconds 35
+        --pairs zipf=3,churn=10,wide=9 --traced churn
 
-Each pair runs ``perfbench/run.py`` of both checkouts, one after the other,
-with the same workload, seed and settings. The side that runs first
-alternates from pair to pair, and pair i of a workload uses seed i + 1. Every
-``--traced`` workload gets one more pair with ``--trace 1``. With ``--append``
-the pairs already in ``--out`` are kept, so a noisy workload can be given
-more pairs without dropping the runs made before. The record holds
-both result lines of every pair (the last JSON line of each run, and the
+The change is the checkout this script lives in. Each pair runs
+``perfbench/run.py`` of both checkouts, one after the other, with the same
+workload, seed and settings, for the ``run_seconds`` that ``BENCHMARK.json``
+fixes. The side that runs first alternates from pair to pair, and pair i of
+a workload uses seed i + 1. Every ``--traced`` workload gets one more pair
+with ``--trace 1``. The record holds both result lines of every pair (the last JSON line of each run, and the
 detail line before it), whether the output digests of the two sides agree,
 and per workload and trace setting the median change/parent ratio of each
 metric, each side's median and quartiles, and how many pairs the change won.
@@ -89,35 +88,32 @@ def record(pairs: list[dict], seconds: float, better: dict[str, str]) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path, required=True, help="the parent's checkout")
-    parser.add_argument("--change", type=Path, default=Path("."), help="the change's checkout")
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--pairs", required=True, help="WORKLOAD=PAIRS,... with --trace 0")
     parser.add_argument("--traced", default="", help="WORKLOAD,... with one --trace 1 pair each")
-    parser.add_argument("--seconds", type=float, default=35)
-    parser.add_argument("--append", action="store_true",
-                        help="keep the pairs already in --out and summarize them with the new ones")
     args = parser.parse_args(argv)
     plan = [(name, int(count)) for name, count in (item.split("=") for item in args.pairs.split(","))]
     traced = [name for name in args.traced.split(",") if name]
-    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    checkouts = {"parent": args.parent.resolve(), "change": Path(__file__).resolve().parents[1]}
     declared = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
+    seconds = declared["run_seconds"]
     better = {m["name"]: m["better"] for m in declared["end_to_end"] + declared["per_layer"]}
 
     runs = [(name, i + 1, 0) for name, count in plan for i in range(count)]
     runs += [(name, 1, 1) for name in traced]
-    pairs = json.loads(args.out.read_text())["pairs"] if args.append else []
+    pairs = []
     for index, (workload, seed, trace) in enumerate(runs):
         order = ("parent", "change") if index % 2 == 0 else ("change", "parent")
         pair = {"workload": workload, "seed": seed, "trace": trace, "first": order[0]}
         for side in order:
-            pair[side] = run(checkouts[side], workload, seed, args.seconds, trace)
+            pair[side] = run(checkouts[side], workload, seed, seconds, trace)
         if trace == 0:
             pair["digests_identical"] = pair["parent"]["detail"]["digests"] == pair["change"]["detail"]["digests"]
         pairs.append(pair)
         print(f"{time.strftime('%H:%M:%S')} pair {index + 1}/{len(runs)}: {workload} seed {seed}"
               f" trace {trace}", file=sys.stderr)
 
-    args.out.write_text(json.dumps(record(pairs, args.seconds, better), indent=1, sort_keys=True) + "\n")
+    args.out.write_text(json.dumps(record(pairs, seconds, better), indent=1, sort_keys=True) + "\n")
     return 0
 
 
