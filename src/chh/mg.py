@@ -11,13 +11,11 @@ cannot exceed the total inserted mass.
 
 The shed round is eager: it touches every stored entry, so an update costs
 O(capacity) when it sheds and O(1) otherwise. The nested two-dimensional
-sketch also needs the single-entry decrement `decrement_least_key`. On a
-summary updated since its last decrement it finds the smallest retained key
-with ``min()``, in O(capacity). A summary decremented again with no update in
-between keeps its keys in a heap, built once in O(capacity), so each further
-decrement costs O(1), or O(log capacity) when the key leaves. The heap holds at
-most ``capacity`` key references and is dropped at the first decrement after
-an update.
+sketch also needs the single-entry decrement `decrement_least_key`. It keeps
+the summary's keys in a heap, built in O(capacity) on the first decrement
+after a new key enters and popped in O(log capacity) when a key leaves, so a
+decrement costs O(1) or O(log capacity) until the next new key. The heap holds
+at most ``capacity`` key references and is dropped when a new key enters.
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ class MgSummary:
             items_seen // (capacity + 1)).
     """
 
-    __slots__ = ("capacity", "items_seen", "sweeps", "_entries", "_heap", "_heap_seen")
+    __slots__ = ("capacity", "items_seen", "sweeps", "_entries", "_heap")
 
     def __init__(self, capacity: int):
         check_positive_int(capacity, "capacity")
@@ -45,10 +43,8 @@ class MgSummary:
         self.items_seen = 0
         self.sweeps = 0
         self._entries: dict[bytes, int] = {}
-        # items_seen at the last decrement_least_key call (-1: none yet); while
-        # it still matches, _heap, once built, holds exactly the retained keys.
+        # None, or a heap of exactly the retained keys.
         self._heap: list[bytes] | None = None
-        self._heap_seen = -1
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -77,6 +73,7 @@ class MgSummary:
             entries[key] = count + 1
             return
         entries[key] = 1
+        self._heap = None
         if len(entries) > self.capacity:
             self._shed()
 
@@ -114,29 +111,21 @@ class MgSummary:
         Does not count as an observed item. Raises ``ValueError`` on an empty
         summary.
 
-        Every other change to the keys happens inside `update`, which bumps
-        ``items_seen``. So the first call after an update finds the key with
-        ``min()`` in O(len(self)) and notes ``items_seen``; a later call that
-        finds it unchanged works on a heap of the keys, built once in
-        O(len(self)) and popped whenever a key leaves, in O(log len(self)).
+        The heap of the keys is built in O(len(self)) when a new key has
+        entered since the last call, and popped in O(log len(self)) when the
+        key leaves; otherwise a call costs O(1).
         """
         entries = self._entries
         if not entries:
             raise ValueError("decrement_least_key() on an empty summary")
         heap = self._heap
-        if self._heap_seen == self.items_seen:
-            if heap is None:
-                heap = self._heap = list(entries)
-                heapify(heap)
-            key = heap[0]
-        else:
-            self._heap_seen = self.items_seen
-            heap = self._heap = None
-            key = min(entries)
+        if heap is None:
+            heap = self._heap = list(entries)
+            heapify(heap)
+        key = heap[0]
         count = entries[key]
         if count == 1:
             del entries[key]
-            if heap is not None:
-                heappop(heap)
+            heappop(heap)
         else:
             entries[key] = count - 1

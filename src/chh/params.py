@@ -74,6 +74,16 @@ def _check_eps1(eps1: Fraction, phi1: Fraction) -> None:
         )
 
 
+def _coupling(phi1: Fraction, phi2: Fraction, eps1: Fraction) -> Fraction:
+    # alpha, the constant that couples s1 and s2.
+    return (1 + phi2) / (phi1 - eps1)
+
+
+def _secondary_lhs(alpha: Fraction, s1: int, s2: int) -> Fraction:
+    # Left-hand side of the secondary feasibility constraint.
+    return Fraction(1, s2) + alpha / s1
+
+
 @dataclass(frozen=True)
 class ChhParams:
     """Thresholds, tolerances, and table sizes for the two-dimensional sketch.
@@ -118,14 +128,13 @@ class ChhParams:
         check_positive_int(s1, "s1")
         check_positive_int(s2, "s2")
         eps1 = min(Fraction(1, s1), phi1 / 2)
-        alpha = (1 + phi2) / (phi1 - eps1)
-        eps2 = Fraction(1, s2) + alpha / s1
+        eps2 = _secondary_lhs(_coupling(phi1, phi2, eps1), s1, s2)
         return cls(phi1, phi2, eps1, eps2, s1, s2)
 
     @property
     def alpha(self) -> Fraction:
         """(1 + phi2) / (phi1 - eps1), the constant coupling s1 and s2."""
-        return (1 + self.phi2) / (self.phi1 - self.eps1)
+        return _coupling(self.phi1, self.phi2, self.eps1)
 
     @property
     def case(self) -> Literal["I", "II"]:
@@ -144,7 +153,7 @@ class ChhParams:
         turns the flag false for undersized raw tables, whose implied eps2
         equals the left-hand side by construction.
         """
-        lhs = Fraction(1, self.s2) + self.alpha / self.s1
+        lhs = _secondary_lhs(self.alpha, self.s1, self.s2)
         return lhs <= self.eps2 and self.eps2 <= self.phi2
 
     def constraints_satisfied(self) -> bool:
@@ -182,7 +191,7 @@ def solve_params(
             f"eps2 must satisfy 0 < eps2 <= phi2 = {phi2}, got {eps2}"
         )
 
-    alpha = (1 + phi2) / (phi1 - eps1)
+    alpha = _coupling(phi1, phi2, eps1)
     if eps1 >= eps2 / (2 * alpha):
         s1 = math.ceil(2 * alpha / eps2)
         s2 = math.ceil(2 / eps2)

@@ -113,9 +113,9 @@ class ChhSketch:
     def _shed_outer(self) -> None:
         # One unit of mass leaves every primary entry, and a paired unit
         # leaves its inner table, keeping inner totals <= primary counts.
-        # A round costs O(s1), plus O(s2) for each inner table updated since
-        # its last decrement and O(log s2) for each one that was not (the
-        # first such decrement builds that table's key heap in O(s2)).
+        # A round costs O(s1), plus O(s2) for each inner table that gained a
+        # key since its last decrement (it rebuilds its key heap) and
+        # O(log s2) for each one that did not.
         dead = []
         for key, entry in self._table.items():
             entry.est_count -= 1

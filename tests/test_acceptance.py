@@ -117,19 +117,16 @@ def _check_stream(totals: SuiteTotals, raw_params, skew1, skew2, size, seed):
 
     counts = exact_counts_naive(stream)
     n = counts.n
-    table = sketch._table
 
     for d, fd in counts.primary.items():
-        entry = table.get(d)
-        est = 0 if entry is None else entry.est_count
+        est = sketch.estimate_primary(d)
         if est > fd:
             totals.overcount += 1
         if est * s1 < fd * s1 - n:
             totals.primary_slack += 1
 
     for (d, s), fds in counts.pairs.items():
-        entry = table.get(d)
-        est = 0 if entry is None else entry.inner._entries.get(s, 0)
+        est = sketch.estimate_pair(d, s)
         if est > fds:
             totals.overcount += 1
         if est * s1 * s2 < fds * s1 * s2 - counts.primary[d] * s1 - n * s2:

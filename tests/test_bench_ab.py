@@ -1,0 +1,80 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_ab.py"
+_spec = importlib.util.spec_from_file_location("bench_ab", _PATH)
+bench_ab = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_ab)
+
+BETTER = {"build_tuples_per_s": "higher", "evaluate_s": "lower"}
+
+
+def side(sha, failed, **values):
+    units = {"build_tuples_per_s": "tuples/s", "evaluate_s": "s"}
+    return {
+        "result": {
+            "correct": True,
+            "failed": failed,
+            "metrics": {name: {"value": v, "unit": units[name]} for name, v in values.items()},
+        },
+        "detail": {"provenance": {"git_sha": sha}},
+    }
+
+
+def pair(parent, change, failed=(0, 0)):
+    return {
+        "workload": "churn",
+        "trace": 0,
+        "parent": side("p0", failed[0], **parent),
+        "change": side("c0", failed[1], **change),
+    }
+
+
+def two_pairs(failed=((0, 0), (0, 0))):
+    # Pair 1: the change builds faster and evaluates faster, so it wins both.
+    # Pair 2: the change builds slower and evaluates slower, so it wins neither.
+    return [
+        pair({"build_tuples_per_s": 100.0, "evaluate_s": 2.0},
+             {"build_tuples_per_s": 150.0, "evaluate_s": 1.0}, failed[0]),
+        pair({"build_tuples_per_s": 100.0, "evaluate_s": 2.0},
+             {"build_tuples_per_s": 50.0, "evaluate_s": 4.0}, failed[1]),
+    ]
+
+
+def test_summarize_counts_wins_in_the_direction_each_metric_improves():
+    summary = bench_ab.summarize(two_pairs(), BETTER)
+    build = summary["build_tuples_per_s"]
+    assert build["better"] == "higher"
+    assert build["change_wins"] == 1
+    assert build["median_ratio"] == pytest.approx((1.5 + 0.5) / 2)
+    evaluate = summary["evaluate_s"]
+    assert evaluate["better"] == "lower"
+    assert evaluate["change_wins"] == 1
+    assert evaluate["median_ratio"] == pytest.approx((0.5 + 2.0) / 2)
+    assert evaluate["pairs"] == 2
+
+    both_won = bench_ab.summarize(two_pairs()[:1], BETTER)
+    assert both_won["build_tuples_per_s"]["change_wins"] == 1
+    assert both_won["evaluate_s"]["change_wins"] == 1
+    both_lost = bench_ab.summarize(two_pairs()[1:], BETTER)
+    assert both_lost["build_tuples_per_s"]["change_wins"] == 0
+    assert both_lost["evaluate_s"]["change_wins"] == 0
+
+
+def test_median_ratio_is_none_when_a_parent_value_is_zero():
+    pairs = two_pairs()
+    pairs[1]["parent"]["result"]["metrics"]["evaluate_s"]["value"] = 0.0
+    summary = bench_ab.summarize(pairs, BETTER)
+    assert summary["evaluate_s"]["median_ratio"] is None
+    assert summary["build_tuples_per_s"]["median_ratio"] is not None
+
+
+def test_record_sums_failed_over_both_sides():
+    out = bench_ab.record(two_pairs(failed=((1, 2), (0, 4))), 35, BETTER)
+    assert out["failed"] == 7
+    assert out["all_correct"] is True
+    assert (out["parent_git_sha"], out["change_git_sha"]) == ("p0", "c0")
+    assert set(out["summary"]) == {"churn"}
+    assert out["summary"]["churn"]["trace0"]["evaluate_s"]["pairs"] == 2
