@@ -83,6 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi1", required=True)
     p.add_argument("--phi2", required=True)
     p.add_argument("--method", choices=("multipass", "naive"), default="multipass")
+    p.add_argument("--format", choices=("text", "csv"), default="text")
     p.set_defaults(func=_cmd_exact)
 
     p = sub.add_parser("evaluate", help="sweep table sizes and emit error statistics")
@@ -203,8 +204,13 @@ def _cmd_exact(args) -> int:
         result = exact_chh_multipass(source, args.phi1, args.phi2)
     _warn_skipped(source)
     out = sys.stdout.buffer
-    for d, s, count in result.sorted_pairs():
-        out.write(b"(%s,%s) %d\n" % (d, s, count))
+    if args.format == "csv":
+        out.write(b"d,s,count\n")
+        for d, s, count in result.sorted_pairs():
+            out.write(b"%s,%s,%d\n" % (_csv_field(d), _csv_field(s), count))
+    else:
+        for d, s, count in result.sorted_pairs():
+            out.write(b"(%s,%s) %d\n" % (d, s, count))
     out.flush()
     return EXIT_OK
 

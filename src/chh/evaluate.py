@@ -19,11 +19,12 @@ from .oracle import (
     ExactChh,
     ExactCounts,
     TupleSource,
+    _exact_from_candidates,
+    _primary_candidates,
     exact_chh_from_counts,
-    exact_chh_multipass,
     require_replayable,
 )
-from .params import ChhParams, FractionLike, to_fraction
+from .params import ChhParams, FractionLike, to_fraction, to_thresholds
 from .sketch import ChhSketch
 
 ErrorItem = Union[bytes, tuple[bytes, bytes]]
@@ -133,22 +134,34 @@ def sweep(
     with infeasible sizes on purpose; the per-row theoretical columns then
     carry the tolerances those sizes imply. Every configuration's sizes are
     checked before the first pass over ``source``.
+
+    One loop over ``source`` feeds every sketch and, when ``oracle`` is not
+    given, pass 1 of :func:`exact_chh_multipass`; its passes 2 and 3 follow.
+    So ``source`` is read three times, or once when ``oracle`` is given. All
+    sketches are held at once, so memory is the sum of their sizes.
     """
     require_replayable(source)
     if not s1_values or not s2_values:
         raise InvalidParameterError("s1_values and s2_values must be non-empty")
     configs = [ChhParams.from_raw(phi1, phi2, s1, s2) for s1 in s1_values for s2 in s2_values]
+    phi1, phi2 = to_thresholds(phi1, phi2)
+    sketches = [ChhSketch(params) for params in configs]
+    updates = [sketch.update for sketch in sketches]
+    candidates = _primary_candidates(phi1) if oracle is None else None
+    for x, y in source:
+        if candidates is not None:
+            candidates.update(x)
+        for update in updates:
+            update(x, y)
     if oracle is None:
-        oracle = exact_chh_multipass(source, phi1, phi2)
+        oracle = _exact_from_candidates(source, candidates, phi1, phi2)
     rows = []
-    for params in configs:
-        sketch = ChhSketch(params)
-        sketch.consume(source)
+    for sketch in sketches:
         report = sketch.report()
         rows.append(
             SweepRow(
-                s1=params.s1,
-                s2=params.s2,
+                s1=sketch.params.s1,
+                s2=sketch.params.s2,
                 n=sketch.n,
                 primary=primary_error_stats(oracle.counts, sketch, phi1),
                 secondary=secondary_error_stats(oracle.counts, sketch, phi1, phi2),

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable
 
 from .errors import ResourceLimitError, UnsupportedSourceError
@@ -130,10 +131,21 @@ def exact_chh_multipass(
     phi1, phi2 = to_thresholds(phi1, phi2)
     require_replayable(source)
 
-    candidates = MgSummary(math.ceil(1 / phi1) - 1)
+    candidates = _primary_candidates(phi1)
     for x, _ in source:
         candidates.update(x)
+    return _exact_from_candidates(source, candidates, phi1, phi2)
 
+
+def _primary_candidates(phi1: Fraction) -> MgSummary:
+    """The empty pass-1 summary of :func:`exact_chh_multipass`; feed it every x."""
+    return MgSummary(math.ceil(1 / phi1) - 1)
+
+
+def _exact_from_candidates(
+    source: TupleSource, candidates: MgSummary, phi1: Fraction, phi2: Fraction
+) -> ExactChh:
+    """Passes 2 and 3 of :func:`exact_chh_multipass`, after pass 1 filled ``candidates``."""
     inner_cap = math.ceil(1 / phi2) - 1
     secondary_candidates = {d: MgSummary(inner_cap) for d, _ in candidates.entries()}
     n = 0

@@ -15,13 +15,18 @@ from typing import Iterable, Iterator
 
 from .errors import InvalidParameterError, MalformedLineError, UnsupportedSourceError
 
+# Bytes read at a time. Each block's lines are split into one list, so a
+# larger block raises peak memory.
+BLOCK_BYTES = 1 << 16
+
 
 class TsvTupleSource:
     """Tuple stream over a tab-separated file, or over stdin when ``path`` is None.
 
     Each iteration of a file source opens the file fresh, so multi-pass
-    consumers can replay it. Stdin can be read only once: a second iteration
-    raises `UnsupportedSourceError` instead of yielding an empty stream. In
+    consumers can replay it. Input is read in blocks of ``BLOCK_BYTES``, never
+    whole. Stdin can be read only once: a second iteration raises
+    `UnsupportedSourceError` instead of yielding an empty stream. In
     lenient mode (the default) malformed lines are skipped and counted in
     ``skipped_lines``, which resets at the start of every pass; strict mode
     raises at the offending line instead.
@@ -44,18 +49,36 @@ class TsvTupleSource:
         return self._scan()
 
     def _scan(self) -> Iterator[tuple[bytes, bytes]]:
+        # Read in blocks and split each on b"\n". The unfinished last line is
+        # carried into the next block (a block with no b"\n" is only kept, so
+        # a long line is joined once), and "\r\n" becomes "\n" after the
+        # carry, so one split across two blocks is still found. A final line
+        # with no "\n" keeps its "\r".
         opened = nullcontext(sys.stdin.buffer) if self.path is None else open(self.path, "rb")
+        number = 0
+        pieces: list[bytes] = []
         with opened as handle:
-            for number, line in enumerate(handle, 1):
-                if line[-1:] == b"\n":
-                    line = line[:-2] if line[-2:-1] == b"\r" else line[:-1]
-                x, tab, y = line.partition(b"\t")
-                if tab:
-                    yield x, y
-                elif self.strict:
-                    raise MalformedLineError(number)
-                else:
-                    self.skipped_lines += 1
+            while True:
+                block = handle.read(BLOCK_BYTES)
+                pieces.append(block)
+                if block and b"\n" not in block:
+                    continue
+                lines = b"".join(pieces).replace(b"\r\n", b"\n").split(b"\n")
+                rest = lines.pop()
+                pieces = [rest]
+                if not block and rest:
+                    lines.append(rest)
+                for line in lines:
+                    number += 1
+                    x, tab, y = line.partition(b"\t")
+                    if tab:
+                        yield x, y
+                    elif self.strict:
+                        raise MalformedLineError(number)
+                    else:
+                        self.skipped_lines += 1
+                if not block:
+                    return
 
 
 def write_tuples(path: str | Path, tuples: Iterable[tuple[bytes, bytes]]) -> int:

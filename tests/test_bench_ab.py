@@ -78,3 +78,18 @@ def test_record_sums_failed_over_both_sides():
     assert (out["parent_git_sha"], out["change_git_sha"]) == ("p0", "c0")
     assert set(out["summary"]) == {"churn"}
     assert out["summary"]["churn"]["trace0"]["evaluate_s"]["pairs"] == 2
+
+
+@pytest.mark.parametrize("flags", [["--pairs", "zipf=1,nosuch=2"],
+                                   ["--pairs", "zipf=1", "--traced", "nosuch"]])
+def test_unknown_workload_exits_two_before_any_run(monkeypatch, tmp_path, capsys, flags):
+    def no_run(*args):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(bench_ab, "run", no_run)
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit) as excinfo:
+        bench_ab.main(["--parent", str(tmp_path), "--out", str(out), *flags])
+    assert excinfo.value.code == 2
+    assert "unknown workload(s) nosuch" in capsys.readouterr().err
+    assert not out.exists()

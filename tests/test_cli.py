@@ -88,6 +88,19 @@ def test_exact_output(tmp_path):
         assert result.stdout == b"(a,b) 3\n"
 
 
+def test_exact_csv_format_keeps_keys_with_commas_apart(tmp_path):
+    stream = tmp_path / "stream.tsv"
+    write_stream(stream, [(b"a,b", b"c"), (b"a", b"b,c")] * 2)
+    for method in ("multipass", "naive"):
+        args = ("exact", "--in", str(stream), "--phi1", "0.4", "--phi2", "0.5",
+                "--method", method)
+        # The text form prints both pairs the same way; CSV quotes the commas.
+        assert run_cli(*args).stdout == b"(a,b,c) 2\n" * 2
+        result = run_cli(*args, "--format", "csv")
+        assert result.returncode == 0
+        assert result.stdout == b'd,s,count\na,"b,c",2\n"a,b",c,2\n'
+
+
 def test_evaluate_writes_csv(tmp_path):
     stream = tmp_path / "stream.tsv"
     write_stream(stream, [(b"a", b"b")] * 30 + [(b"c", b"d")] * 10)

@@ -150,12 +150,18 @@ def test_sweep_rejects_bad_size_before_reading():
     assert source.yielded == 0
 
 
-def test_sweep_reads_three_oracle_passes_and_one_per_configuration():
+def test_sweep_reads_three_passes_for_all_configurations():
     tuples = random_tuple_stream(24, 300, primaries=12, secondaries=6)
     source = CountingSource(tuples)
     rows = sweep(source, "0.1", "0.2", [10, 20], [4, 8])
     assert len(rows) == 4
-    assert source.yielded == (3 + 4) * len(tuples)
+    assert source.yielded == 3 * len(tuples)
+
+    # With the oracle given, one pass feeds every configuration.
+    oracle = exact_chh_multipass(tuples, "0.1", "0.2")
+    source = CountingSource(tuples)
+    assert sweep(source, "0.1", "0.2", [10, 20], [4, 8], oracle=oracle) == rows
+    assert source.yielded == len(tuples)
 
 
 def test_sweep_csv_layout():

@@ -2,9 +2,10 @@ import io
 import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+import chh.tsv
 from chh import (
     InvalidParameterError,
     MalformedLineError,
@@ -102,6 +103,62 @@ def test_write_then_read_returns_any_separator_free_stream(tmp_path_factory, tup
     source = TsvTupleSource(path)
     assert list(source) == tuples
     assert source.skipped_lines == 0
+
+
+def read_by_lines(data, strict):
+    """The line-iteration reader the block reader replaced, as a reference.
+
+    Returns the tuples, the skipped-line count and, in strict mode, the
+    number of the first malformed line (None when there is none).
+    """
+    tuples, skipped = [], 0
+    for number, line in enumerate(io.BytesIO(data), 1):
+        if line[-1:] == b"\n":
+            line = line[:-2] if line[-2:-1] == b"\r" else line[:-1]
+        x, tab, y = line.partition(b"\t")
+        if tab:
+            tuples.append((x, y))
+        elif strict:
+            return tuples, skipped, number
+        else:
+            skipped += 1
+    return tuples, skipped, None
+
+
+def read_by_blocks(data, strict, block_bytes, path):
+    """Read ``data`` with `TsvTupleSource` from a file, or from stdin when ``path`` is None."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(chh.tsv, "BLOCK_BYTES", block_bytes)
+        if path is None:
+            patch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+        else:
+            path.write_bytes(data)
+        source = TsvTupleSource(path, strict=strict)
+        tuples = []
+        try:
+            for item in source:
+                tuples.append(item)
+        except MalformedLineError as exc:
+            return tuples, source.skipped_lines, exc.line_number
+        return tuples, source.skipped_lines, None
+
+
+@given(
+    st.lists(st.sampled_from([b"a", b"\t", b"\r", b"\n"]), max_size=40).map(b"".join),
+    st.integers(1, 8),
+)
+@example(b"", 1)
+@example(b"\n", 1)
+@example(b"\n\n\n", 2)
+@example(b"a\tb\r\na\tb\r\n", 4)  # "\r" ends the first block, "\n" starts the next
+@example(b"a\r\r\n\tb\r", 3)  # "\r\r" across a block, then a final line ending in "\r"
+@example(b"a\tb\r", 8)  # the final line, with no "\n", keeps its "\r"
+def test_block_reader_matches_line_iteration(tmp_path_factory, data, block_bytes):
+    path = tmp_path_factory.mktemp("blocks") / "stream.tsv"
+    for strict in (False, True):
+        expected = read_by_lines(data, strict)
+        assert read_by_blocks(data, strict, block_bytes, path) == expected
+        assert read_by_blocks(data, strict, block_bytes, None) == expected
 
 
 def test_write_rejects_separator_in_fields(tmp_path):

@@ -98,6 +98,11 @@ def main(argv=None) -> int:
     declared = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
     seconds = declared["run_seconds"]
     better = {m["name"]: m["better"] for m in declared["end_to_end"] + declared["per_layer"]}
+    known = {w["name"] for w in declared["workloads"]}
+    unknown = sorted({name for name, _ in plan}.union(traced) - known)
+    if unknown:
+        parser.error(f"unknown workload(s) {', '.join(unknown)}; BENCHMARK.json declares "
+                     f"{', '.join(sorted(known))}")
 
     runs = [(name, i + 1, 0) for name, count in plan for i in range(count)]
     runs += [(name, 1, 1) for name in traced]
