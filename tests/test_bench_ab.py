@@ -80,9 +80,13 @@ def test_record_sums_failed_over_both_sides():
     assert out["summary"]["churn"]["trace0"]["evaluate_s"]["pairs"] == 2
 
 
-@pytest.mark.parametrize("flags", [["--pairs", "zipf=1,nosuch=2"],
-                                   ["--pairs", "zipf=1", "--traced", "nosuch"]])
-def test_unknown_workload_exits_two_before_any_run(monkeypatch, tmp_path, capsys, flags):
+@pytest.mark.parametrize("flags, message", [
+    (["--pairs", "zipf=1,nosuch=2"], "unknown workload(s) nosuch;"),
+    (["--pairs", "zipf=1", "--traced", "nosuch"], "unknown workload(s) nosuch;"),
+    (["--pairs", "zipf"], "--pairs takes WORKLOAD=PAIRS"),
+    (["--pairs", "zipf=x"], "--pairs takes WORKLOAD=PAIRS"),
+])
+def test_bad_workload_plan_exits_two_before_any_run(monkeypatch, tmp_path, capsys, flags, message):
     def no_run(*args):
         raise AssertionError("a run started")
 
@@ -91,5 +95,5 @@ def test_unknown_workload_exits_two_before_any_run(monkeypatch, tmp_path, capsys
     with pytest.raises(SystemExit) as excinfo:
         bench_ab.main(["--parent", str(tmp_path), "--out", str(out), *flags])
     assert excinfo.value.code == 2
-    assert "unknown workload(s) nosuch" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not out.exists()

@@ -92,7 +92,10 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", required=True, help="WORKLOAD=PAIRS,... with --trace 0")
     parser.add_argument("--traced", default="", help="WORKLOAD,... with one --trace 1 pair each")
     args = parser.parse_args(argv)
-    plan = [(name, int(count)) for name, count in (item.split("=") for item in args.pairs.split(","))]
+    try:
+        plan = [(name, int(count)) for name, count in (item.split("=") for item in args.pairs.split(","))]
+    except ValueError:
+        parser.error(f"--pairs takes WORKLOAD=PAIRS,...; got {args.pairs!r}")
     traced = [name for name in args.traced.split(",") if name]
     checkouts = {"parent": args.parent.resolve(), "change": Path(__file__).resolve().parents[1]}
     declared = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
