@@ -11,11 +11,13 @@ cannot exceed the total inserted mass.
 
 The shed round is eager: it touches every stored entry, so an update costs
 O(capacity) when it sheds and O(1) otherwise. The nested two-dimensional
-sketch also needs the single-entry decrement `decrement_least_key`. It keeps
-the summary's keys in a heap, built in O(capacity) on the first decrement
-after a new key enters and popped in O(log capacity) when a key leaves, so a
-decrement costs O(1) or O(log capacity) until the next new key. The heap holds
-at most ``capacity`` key references and is dropped when a new key enters.
+sketch also needs the single-entry decrement `decrement_least_key`: it pays
+the inner units a primary owes for the outer rounds run since its last read,
+one call per unit and all in a row, just before that read. The summary keeps
+its keys in a heap, built in O(capacity) on the first decrement after a new
+key enters and popped in O(log capacity) when a key leaves, so a run of k
+decrements costs O(capacity + k log capacity) at most. The heap holds at most
+``capacity`` key references and is dropped when a new key enters.
 """
 
 from __future__ import annotations

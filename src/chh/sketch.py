@@ -9,10 +9,10 @@ with tuple (x, y) takes one of three paths:
 2. x retained, y new: y enters the inner table with count 1; if the inner
    table overflows, every inner count drops by one and zero counts leave.
 3. x new: a fresh entry (count 1, inner table {y: 1}) enters the outer
-   table; if the outer table then overflows, every primary count drops by
-   one, one unit of inner mass drops with it (smallest retained key, kept
-   deterministic for reproducibility), and primaries at zero are discarded
-   together with their inner tables.
+   table; if the outer table then overflows, an outer shed round runs:
+   every primary count drops by one, one unit of inner mass drops with it
+   (smallest retained key, kept deterministic for reproducibility), and
+   primaries at zero are discarded together with their inner tables.
 
 Pairing the outer decrement with an inner decrement keeps every inner
 table's total at or below its primary count, which is what makes the
@@ -20,12 +20,28 @@ reporting thresholds safe. Estimates never exceed true frequencies; a
 primary count is short by less than n/s1 and a pair count by less than
 f_d/s2 + n/s1, where n is the stream length so far and f_d the true
 primary frequency.
+
+The outer shed round is lazy, in the manner of the O(1)-per-item Frequent
+implementations (Demaine, Lopez-Ortiz and Munro 2002; Karp, Shenker and
+Papadimitriou 2003). ``outer_sweeps`` is the round clock, and each entry
+records the clock at its last sync, so its true count is
+``est_count - (outer_sweeps - synced)``. A calendar files every key under
+one round no later than the round its count reaches zero; a round visits
+only its own bucket, drops the entries that are due and files the others
+under their own later due round. The units an entry owes reach its inner
+table (one `MgSummary.decrement_least_key` each) only when it is read:
+before a hit updates it, in `ChhSketch.estimate_pair`, `ChhSketch.entries`
+and the snapshot save, and in `ChhSketch.report` for the primaries it
+reports. Nothing else touches an inner table between two of those reads,
+so the state read is the one the eager round would have left.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from math import ceil
 from typing import Iterable, Iterator
 
 from .mg import MgSummary
@@ -33,13 +49,29 @@ from .params import ChhParams
 
 
 class PrimaryEntry:
-    """Outer-table slot: estimated primary count plus the inner summary."""
+    """Outer-table slot: estimated primary count plus the inner summary.
 
-    __slots__ = ("est_count", "inner")
+    ``est_count`` and ``inner`` are exact as of round ``synced`` of the
+    owning sketch; the rounds run since then are owed until `settle`.
+    """
 
-    def __init__(self, est_count: int, inner: MgSummary):
+    __slots__ = ("est_count", "inner", "synced")
+
+    def __init__(self, est_count: int, inner: MgSummary, synced: int):
         self.est_count = est_count
         self.inner = inner
+        self.synced = synced
+
+    def settle(self, outer_sweeps: int) -> None:
+        """Apply the rounds owed up to ``outer_sweeps``: one count and one inner unit each."""
+        owed = outer_sweeps - self.synced
+        self.est_count -= owed
+        self.synced = outer_sweeps
+        inner = self.inner
+        for _ in range(owed):
+            if not len(inner):
+                break
+            inner.decrement_least_key()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PrimaryEntry):
@@ -47,7 +79,10 @@ class PrimaryEntry:
         return self.est_count == other.est_count and self.inner == other.inner
 
     def __repr__(self) -> str:
-        return f"PrimaryEntry(est_count={self.est_count}, inner={self.inner!r})"
+        return (
+            f"PrimaryEntry(est_count={self.est_count}, inner={self.inner!r}, "
+            f"synced={self.synced})"
+        )
 
 
 @dataclass(frozen=True)
@@ -83,8 +118,9 @@ class ChhSketch:
     Attributes:
         params: the thresholds and table sizes this sketch runs with.
         n: number of tuples absorbed so far.
-        outer_sweeps: number of outer shed rounds run (diagnostic; bounded
-            by n // (s1 + 1), since each round removes s1 + 1 units of mass).
+        outer_sweeps: number of outer shed rounds run, bounded by
+            n // (s1 + 1), since each round removes s1 + 1 units of mass;
+            also the clock that `PrimaryEntry.synced` is read against.
     """
 
     def __init__(self, params: ChhParams):
@@ -92,6 +128,9 @@ class ChhSketch:
         self.n = 0
         self.outer_sweeps = 0
         self._table: dict[bytes, PrimaryEntry] = {}
+        # Round -> keys to visit in that round. Each entry is filed exactly
+        # once, at or before the round its count reaches zero.
+        self._calendar: defaultdict[int, list[bytes]] = defaultdict(list)
 
     def __len__(self) -> int:
         return len(self._table)
@@ -100,33 +139,37 @@ class ChhSketch:
         """Absorb one (x, y) tuple."""
         self.n += 1
         entry = self._table.get(x)
+        sweeps = self.outer_sweeps
         if entry is not None:
+            if entry.synced != sweeps:
+                entry.settle(sweeps)
             entry.est_count += 1
             entry.inner.update(y)
             return
         inner = MgSummary(self.params.s2)
         inner.update(y)
-        self._table[x] = PrimaryEntry(1, inner)
+        self._table[x] = PrimaryEntry(1, inner, sweeps)
+        self._calendar[sweeps + 1].append(x)
         if len(self._table) > self.params.s1:
             self._shed_outer()
 
     def _shed_outer(self) -> None:
         # One unit of mass leaves every primary entry, and a paired unit
-        # leaves its inner table, keeping inner totals <= primary counts.
-        # A round costs O(s1), plus O(s2) for each inner table that gained a
-        # key since its last decrement (it rebuilds its key heap) and
-        # O(log s2) for each one that did not.
-        dead = []
-        for key, entry in self._table.items():
-            entry.est_count -= 1
-            inner = entry.inner
-            if len(inner):
-                inner.decrement_least_key()
-            if entry.est_count == 0:
-                dead.append(key)
-        for key in dead:
-            del self._table[key]
-        self.outer_sweeps += 1
+        # leaves its inner table (paid at the entry's next read), keeping
+        # inner totals <= primary counts. Only this round's bucket is
+        # visited: it holds the new key, which is due now, so the round
+        # drops at least one entry. A hit only moves an entry's due round
+        # later, so a key found early is filed again, never late.
+        self.outer_sweeps = due = self.outer_sweeps + 1
+        table = self._table
+        calendar = self._calendar
+        for key in calendar.pop(due):
+            entry = table[key]
+            zero = entry.synced + entry.est_count
+            if zero <= due:
+                del table[key]
+            else:
+                calendar[zero].append(key)
 
     def consume(self, tuples: Iterable[tuple[bytes, bytes]]) -> None:
         """Feed every (x, y) pair of an iterable through update()."""
@@ -137,15 +180,28 @@ class ChhSketch:
     def estimate_primary(self, d: bytes) -> int:
         """Estimated frequency of primary value ``d`` (0 when not retained)."""
         entry = self._table.get(d)
-        return 0 if entry is None else entry.est_count
+        return 0 if entry is None else entry.est_count - (self.outer_sweeps - entry.synced)
 
     def estimate_pair(self, d: bytes, s: bytes) -> int:
-        """Estimated frequency of the pair (d, s) (0 when not retained)."""
+        """Estimated frequency of the pair (d, s) (0 when not retained).
+
+        Settles the units entry ``d`` owes its inner table first.
+        """
         entry = self._table.get(d)
-        return 0 if entry is None else entry.inner.estimate(s)
+        if entry is None:
+            return 0
+        entry.settle(self.outer_sweeps)
+        return entry.inner.estimate(s)
 
     def entries(self) -> list[tuple[bytes, PrimaryEntry]]:
-        """Current outer entries sorted by key. Treat the entries as read-only."""
+        """Current outer entries sorted by key. Treat the entries as read-only.
+
+        Settles every entry first, so each count and inner table is current;
+        this costs one `MgSummary.decrement_least_key` per unit still owed.
+        """
+        sweeps = self.outer_sweeps
+        for entry in self._table.values():
+            entry.settle(sweeps)
         return sorted(self._table.items())
 
     def report(self) -> ChhReport:
@@ -153,25 +209,30 @@ class ChhSketch:
 
         A primary d is reported when est_d >= (phi1 - 1/s1) * n; a secondary
         s under it when est_{d,s} >= (phi2 - 1/s2) * est_d - n/s1. Both
-        thresholds are evaluated in exact rational arithmetic so boundary
-        ties never fall to float rounding. With feasible parameters this
-        reports every true heavy pair and nothing more than tolerance-close
-        extras; with infeasible (raw) sizes it still evaluates the same
-        thresholds verbatim.
+        thresholds are exact rationals, so boundary ties never fall to float
+        rounding; an integer count meets one exactly when it meets its
+        ceiling. With feasible parameters this reports every true heavy pair
+        and nothing more than tolerance-close extras; with infeasible (raw)
+        sizes it still evaluates the same thresholds verbatim. Only the
+        reported primaries are settled and sorted.
         """
         p = self.params
         n = self.n
-        primary_floor = (p.phi1 - Fraction(1, p.s1)) * n
+        sweeps = self.outer_sweeps
+        primary_floor = ceil((p.phi1 - Fraction(1, p.s1)) * n)
         inner_rate = p.phi2 - Fraction(1, p.s2)
         outer_slack = Fraction(n, p.s1)
+        heavy = sorted(
+            (key, entry)
+            for key, entry in self._table.items()
+            if entry.est_count - (sweeps - entry.synced) >= primary_floor
+        )
         reported = []
-        for key, entry in self.entries():
-            if entry.est_count >= primary_floor:
-                inner_floor = inner_rate * entry.est_count - outer_slack
-                secondaries = tuple(
-                    (skey, est)
-                    for skey, est in entry.inner.entries()
-                    if est >= inner_floor
-                )
-                reported.append(ReportedPrimary(key, entry.est_count, secondaries))
+        for key, entry in heavy:
+            entry.settle(sweeps)
+            inner_floor = ceil(inner_rate * entry.est_count - outer_slack)
+            secondaries = tuple(
+                (skey, est) for skey, est in entry.inner.entries() if est >= inner_floor
+            )
+            reported.append(ReportedPrimary(key, entry.est_count, secondaries))
         return ChhReport(n=n, primaries=tuple(reported))

@@ -89,13 +89,16 @@ def sketch_from_bytes(data: bytes) -> ChhSketch:
                 inner = MgSummary(s2)
                 inner.items_seen = int(items_seen)
                 entries = inner._entries
-                table[unhexlify(key)] = PrimaryEntry(int(est_count), inner)
+                table[unhexlify(key)] = PrimaryEntry(int(est_count), inner, 0)
     except (ValueError, ZeroDivisionError) as exc:
         raise SnapshotFormatError(f"malformed snapshot: {exc}") from exc
 
     # A live entry gains est_count and items_seen together and loses
     # est_count (with one inner unit) on each outer shed, so inner total <=
     # est_count <= items_seen; each tuple adds to exactly one items_seen.
+    # A loaded entry is synced at round 0 = outer_sweeps, so it is filed
+    # under the round its count reaches zero.
+    calendar = sketch._calendar
     seen = 0
     for key, entry in table.items():
         inner = entry.inner
@@ -107,6 +110,7 @@ def sketch_from_bytes(data: bytes) -> ChhSketch:
             and sum(counts) <= entry.est_count <= inner.items_seen
         ):
             raise SnapshotFormatError(f"entry for key {key!r} violates sketch invariants")
+        calendar[entry.est_count].append(key)
         seen += inner.items_seen
     if len(table) > s1:
         raise SnapshotFormatError("more primary entries than the outer capacity")

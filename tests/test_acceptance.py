@@ -70,7 +70,9 @@ def _build_checked(params: ChhParams, stream, per_update: bool):
     An update can only change the entry it touched, unless an outer shed
     round ran, in which case every entry changed; checking the touched entry
     each step and scanning everything right after a shed round is therefore
-    equivalent to a full scan after every update.
+    equivalent to a full scan after every update. The touched entry is
+    settled by its update; the scan reads `entries()`, which settles the
+    units every other entry owes from the round.
     """
     sketch = ChhSketch(params)
     violations = 0
@@ -81,7 +83,7 @@ def _build_checked(params: ChhParams, stream, per_update: bool):
             sketch.update(x, y)
             if sketch.outer_sweeps != sweeps_seen:
                 sweeps_seen = sketch.outer_sweeps
-                for entry in table.values():
+                for _, entry in sketch.entries():
                     if entry.inner.total() > entry.est_count:
                         violations += 1
             else:

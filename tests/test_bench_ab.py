@@ -63,6 +63,33 @@ def test_summarize_counts_wins_in_the_direction_each_metric_improves():
     assert both_lost["evaluate_s"]["change_wins"] == 0
 
 
+def ten_pairs(parent_evaluate, change_evaluate):
+    return [pair({"build_tuples_per_s": 100.0, "evaluate_s": p},
+                 {"build_tuples_per_s": 100.0, "evaluate_s": c})
+            for p, c in zip(parent_evaluate, change_evaluate)]
+
+
+PARENT = [1.00, 1.01, 1.02, 1.03, 1.04, 1.05, 1.06, 1.07, 1.08, 1.09]  # quartiles 1.0225, 1.0675
+
+
+@pytest.mark.parametrize("change, wins, met", [
+    # 9 of 10 won, medians 1.045 and 0.945: a gap of 0.1 beyond the spread of 0.045.
+    ([c - 0.1 for c in PARENT[:9]] + [1.10], 9, True),
+    # 8 of 10 won with the same gap.
+    ([c - 0.1 for c in PARENT[:8]] + [1.10, 1.10], 8, False),
+    # 10 of 10 won, but the medians differ by 0.01, within the spread.
+    ([c - 0.01 for c in PARENT], 10, False),
+])
+def test_gain_rule_needs_nine_tenths_of_pairs_and_a_gap_beyond_the_spread(change, wins, met):
+    summary = bench_ab.summarize(ten_pairs(PARENT, change), BETTER)
+    evaluate = summary["evaluate_s"]
+    assert evaluate["change_wins"] == wins
+    assert evaluate["parent_quartiles"] == pytest.approx([1.0225, 1.0675])
+    assert evaluate["gain_rule_met"] is met
+    # Tied in every pair: nothing won, no gain.
+    assert summary["build_tuples_per_s"]["gain_rule_met"] is False
+
+
 def test_median_ratio_is_none_when_a_parent_value_is_zero():
     pairs = two_pairs()
     pairs[1]["parent"]["result"]["metrics"]["evaluate_s"]["value"] = 0.0

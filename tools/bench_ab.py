@@ -16,6 +16,9 @@ with ``--trace 1``. The record holds both result lines of every pair (the last J
 detail line before it), whether the output digests of the two sides agree,
 and per workload and trace setting the median change/parent ratio of each
 metric, each side's median and quartiles, and how many pairs the change won.
+``gain_rule_met`` says whether a gain may be claimed for the metric: the change
+won at least nine tenths of the pairs, ties counting for neither, and its
+median beats the parent's by more than the parent's quartile spread.
 """
 
 from __future__ import annotations
@@ -51,16 +54,21 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
         parent = [p["parent"]["result"]["metrics"][name]["value"] for p in pairs]
         change = [p["change"]["result"]["metrics"][name]["value"] for p in pairs]
         lower = better.get(name, "lower") == "lower"
+        parent_median, change_median = statistics.median(parent), statistics.median(change)
+        q1, q3 = quartiles(parent)
+        wins = sum((c < p) if lower else (c > p) for c, p in zip(change, parent))
+        gain = parent_median - change_median if lower else change_median - parent_median
         summary[name] = {
             "unit": metrics[name]["unit"],
             "better": "lower" if lower else "higher",
             "median_ratio": statistics.median(c / p for c, p in zip(change, parent)) if all(parent) else None,
-            "parent_median": statistics.median(parent),
-            "change_median": statistics.median(change),
-            "parent_quartiles": quartiles(parent),
+            "parent_median": parent_median,
+            "change_median": change_median,
+            "parent_quartiles": [q1, q3],
             "change_quartiles": quartiles(change),
-            "change_wins": sum((c < p) if lower else (c > p) for c, p in zip(change, parent)),
+            "change_wins": wins,
             "pairs": len(pairs),
+            "gain_rule_met": 10 * wins >= 9 * len(pairs) and gain > q3 - q1,
         }
     return summary
 
