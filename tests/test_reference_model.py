@@ -164,9 +164,9 @@ def test_sketch_matches_eager_model_at_sparse_checkpoints(stream, s1, s2, phi1, 
         for sketch in sketches:
             check_reads(sketch, model, checkpoints.get(i, ()))
         if i == cut:
-            data = sketch_to_bytes(sketches[0])
-            assert data == model.canonical_bytes()
-            sketches.append(sketch_from_bytes(data))
+            saved = sketch_to_bytes(sketches[0])
+            assert saved == model.canonical_bytes()
+            sketches.append(sketch_from_bytes(saved))
     for sketch in sketches:
         check_reads(sketch, model, final_reads)
 
