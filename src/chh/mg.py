@@ -48,6 +48,13 @@ class MgSummary:
         # None, or a heap of exactly the retained keys.
         self._heap: list[bytes] | None = None
 
+    @classmethod
+    def restore(cls, capacity: int, items_seen: int, counts: dict[bytes, int]) -> MgSummary:
+        """The summary of ``counts`` (kept, not copied) after ``items_seen`` updates."""
+        summary = cls(capacity)
+        summary.items_seen, summary._entries = items_seen, counts
+        return summary
+
     def __len__(self) -> int:
         return len(self._entries)
 

@@ -33,7 +33,8 @@ table (one `MgSummary.decrement_least_key` each) only when it is read:
 before a hit updates it, in `ChhSketch.estimate_pair`, `ChhSketch.entries`
 and the snapshot save, and in `ChhSketch.report` for the primaries it
 reports. Nothing else touches an inner table between two of those reads,
-so the state read is the one the eager round would have left.
+so the state read is the one the eager round would have left. Besides the
+insert and the round, only `ChhSketch.restore` files keys, for a load.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from fractions import Fraction
 from math import ceil
 from typing import Iterable, Iterator
 
+from .errors import SnapshotFormatError
 from .mg import MgSummary
 from .params import ChhParams
 
@@ -120,7 +122,8 @@ class ChhSketch:
         n: number of tuples absorbed so far.
         outer_sweeps: number of outer shed rounds run, bounded by
             n // (s1 + 1), since each round removes s1 + 1 units of mass;
-            also the clock that `PrimaryEntry.synced` is read against.
+            also the clock that `PrimaryEntry.synced` is read against. A
+            load recovers it from n and the primary counts.
     """
 
     def __init__(self, params: ChhParams):
@@ -128,9 +131,37 @@ class ChhSketch:
         self.n = 0
         self.outer_sweeps = 0
         self._table: dict[bytes, PrimaryEntry] = {}
-        # Round -> keys to visit in that round. Each entry is filed exactly
-        # once, at or before the round its count reaches zero.
+        # Round -> keys to visit in that round: each key once, no later than its zero round.
         self._calendar: defaultdict[int, list[bytes]] = defaultdict(list)
+
+    @classmethod
+    def restore(cls, params: ChhParams, n: int, rows: list[tuple]) -> ChhSketch:
+        """Rebuild a sketch from settled ``(key, est_count, items_seen, counts)`` rows.
+
+        A tuple adds one unit to one primary and a round takes one from s1 + 1,
+        so ``n - sum(est_count) == (s1 + 1) * outer_sweeps``. Each round an entry
+        lives through takes one unit of est_count and at most one of counts, so
+        ``sum(counts) <= est_count <= items_seen <= est_count + outer_sweeps``.
+        Raises `SnapshotFormatError` on a state that breaks these rules. Keys are distinct.
+        """
+        sketch = cls(params)
+        sketch.n = n
+        sweeps, rest = divmod(n - sum(row[1] for row in rows), params.s1 + 1)
+        if rest or sweeps < 0 or len(rows) > params.s1:
+            raise SnapshotFormatError("the primary counts and their number do not fit n and s1")
+        sketch.outer_sweeps = sweeps
+        for key, est_count, items_seen, counts in rows:
+            if not (
+                len(counts) <= params.s2
+                and min(counts.values(), default=1) >= 1
+                and sum(counts.values()) <= est_count
+                and 1 <= est_count <= items_seen <= est_count + sweeps
+            ):
+                raise SnapshotFormatError(f"entry for key {key!r} violates sketch invariants")
+            inner = MgSummary.restore(params.s2, items_seen, counts)
+            entry = sketch._table[key] = PrimaryEntry(est_count, inner, sweeps)
+            sketch._file(key, entry)
+        return sketch
 
     def __len__(self) -> int:
         return len(self._table)
@@ -148,10 +179,14 @@ class ChhSketch:
             return
         inner = MgSummary(self.params.s2)
         inner.update(y)
-        self._table[x] = PrimaryEntry(1, inner, sweeps)
-        self._calendar[sweeps + 1].append(x)
+        entry = self._table[x] = PrimaryEntry(1, inner, sweeps)
+        self._file(x, entry)
         if len(self._table) > self.params.s1:
             self._shed_outer()
+
+    def _file(self, key: bytes, entry: PrimaryEntry) -> None:
+        """The calendar rule: ``key`` waits for the round its count reaches zero."""
+        self._calendar[entry.synced + entry.est_count].append(key)
 
     def _shed_outer(self) -> None:
         # One unit of mass leaves every primary entry, and a paired unit
@@ -162,14 +197,13 @@ class ChhSketch:
         # later, so a key found early is filed again, never late.
         self.outer_sweeps = due = self.outer_sweeps + 1
         table = self._table
-        calendar = self._calendar
-        for key in calendar.pop(due):
+        file = self._file
+        for key in self._calendar.pop(due):
             entry = table[key]
-            zero = entry.synced + entry.est_count
-            if zero <= due:
-                del table[key]
+            if entry.synced + entry.est_count > due:
+                file(key, entry)
             else:
-                calendar[zero].append(key)
+                del table[key]
 
     def consume(self, tuples: Iterable[tuple[bytes, bytes]]) -> None:
         """Feed every (x, y) pair of an iterable through update()."""

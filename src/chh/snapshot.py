@@ -9,11 +9,12 @@ arbitrary byte strings, including empty ones and ones containing tabs or
 newlines, survive unchanged; at each level they strictly increase.
 
 `sketch_to_bytes` is the only definition of the layout. `sketch_from_bytes`
-reads the fields leniently, checks the state against the invariants of the
-update rule, and then requires the sketch to save back to exactly the input
-bytes. It therefore accepts precisely what the saver writes for a state some
-stream can reach, and raises `SnapshotFormatError` on anything else. Shed-round
-counters are per-process diagnostics: they are not saved and read 0 after a load.
+reads the fields leniently into plain rows, has `ChhSketch.restore` check them
+against the invariants of the update rule, and then requires the sketch to
+save back to exactly the input bytes. It therefore accepts precisely what the
+saver writes for a state some stream can reach, and raises `SnapshotFormatError`
+on anything else. The shed-round counters are not saved: ``outer_sweeps`` is
+recovered from n and the primary counts, and each inner ``sweeps`` reads 0.
 """
 
 from __future__ import annotations
@@ -23,9 +24,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from .errors import SnapshotFormatError
-from .mg import MgSummary
 from .params import ChhParams
-from .sketch import ChhSketch, PrimaryEntry
+from .sketch import ChhSketch
 
 _MAGIC = b"chh-sketch v1"
 
@@ -57,12 +57,7 @@ def sketch_to_bytes(sketch: ChhSketch) -> bytes:
 
 
 def sketch_from_bytes(data: bytes) -> ChhSketch:
-    """Load a snapshot written by `sketch_to_bytes` for a reachable state.
-
-    The fields are read leniently, the state is checked against the
-    invariants of the update rule, and the sketch must then save back to
-    ``data`` exactly; anything else raises `SnapshotFormatError`.
-    """
+    """Load a snapshot written by `sketch_to_bytes` for a reachable state; see the module doc."""
     lines = data.split(b"\n")
     if lines[0] != _MAGIC:
         raise SnapshotFormatError("not a sketch snapshot (bad magic line)")
@@ -72,50 +67,24 @@ def sketch_from_bytes(data: bytes) -> ChhSketch:
             Fraction(int(num), int(den)) for num, den in (v.split(b"/") for v in values[:4])
         )
         s1, s2, n = map(int, values[4:])
-        sketch = ChhSketch(ChhParams(phi1, phi2, eps1, eps2, s1, s2))
-        sketch.n = n
-        table = sketch._table
+        params = ChhParams(phi1, phi2, eps1, eps2, s1, s2)
         # The `primaries` line, the inner sizes and `end` are left to the
         # re-save check, as are `s` lines before the first `p` line, which
         # land in this throwaway dict.
-        entries: dict[bytes, int] = {}
+        rows = []
+        counts: dict[bytes, int] = {}
         for line in lines[9:]:
             fields = line.split(b" ")
             if fields[0] == b"s":
                 _, key, count = fields
-                entries[unhexlify(key)] = int(count)
+                counts[unhexlify(key)] = int(count)
             elif fields[0] == b"p":
                 _, key, est_count, items_seen, _ = fields
-                inner = MgSummary(s2)
-                inner.items_seen = int(items_seen)
-                entries = inner._entries
-                table[unhexlify(key)] = PrimaryEntry(int(est_count), inner, 0)
+                counts = {}
+                rows.append((unhexlify(key), int(est_count), int(items_seen), counts))
     except (ValueError, ZeroDivisionError) as exc:
         raise SnapshotFormatError(f"malformed snapshot: {exc}") from exc
-
-    # A live entry gains est_count and items_seen together and loses
-    # est_count (with one inner unit) on each outer shed, so inner total <=
-    # est_count <= items_seen; each tuple adds to exactly one items_seen.
-    # A loaded entry is synced at round 0 = outer_sweeps, so it is filed
-    # under the round its count reaches zero.
-    calendar = sketch._calendar
-    seen = 0
-    for key, entry in table.items():
-        inner = entry.inner
-        counts = inner._entries.values()
-        if not (
-            len(inner) <= s2
-            and min(counts, default=1) >= 1
-            and 1 <= entry.est_count
-            and sum(counts) <= entry.est_count <= inner.items_seen
-        ):
-            raise SnapshotFormatError(f"entry for key {key!r} violates sketch invariants")
-        calendar[entry.est_count].append(key)
-        seen += inner.items_seen
-    if len(table) > s1:
-        raise SnapshotFormatError("more primary entries than the outer capacity")
-    if seen > n:
-        raise SnapshotFormatError("the entries have seen more tuples than n")
+    sketch = ChhSketch.restore(params, n, rows)
     if sketch_to_bytes(sketch) != data:
         raise SnapshotFormatError("snapshot is not in the canonical form that save writes")
     return sketch

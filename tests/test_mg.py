@@ -93,6 +93,22 @@ def test_exact_when_distinct_keys_fit(capacity, stream):
         assert summary.estimate(key) == count
 
 
+@given(capacities, streams, streams)
+def test_restored_summary_equals_and_continues_like_the_original(capacity, head, tail):
+    summary = MgSummary(capacity)
+    for key in head:
+        summary.update(key)
+    restored = MgSummary.restore(capacity, summary.items_seen, dict(summary.entries()))
+    assert restored == summary
+    for key in tail:
+        summary.update(key)
+        restored.update(key)
+    if len(summary):
+        summary.decrement_least_key()
+        restored.decrement_least_key()
+    assert restored == summary
+
+
 def test_decrement_least_key_picks_smallest_and_drops_zero():
     summary = MgSummary(4)
     for key in [b"p", b"p", b"q"]:

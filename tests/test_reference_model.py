@@ -18,6 +18,7 @@ class ModelSketch:
     def __init__(self, params):
         self.params = params
         self.n = 0
+        self.rounds = 0
         self.table = {}
 
     def update(self, x, y):
@@ -35,6 +36,7 @@ class ModelSketch:
         self.table[x] = [1, 1, {y: 1}]
         if len(self.table) > self.params.s1:
             # outer shed: every primary count and its smallest inner key drop by one
+            self.rounds += 1
             for entry in self.table.values():
                 entry[0] -= 1
                 inner = entry[2]
@@ -104,9 +106,11 @@ def test_sketch_matches_eager_model_across_save_and_load(stream, s1, s2, cut):
         sketch.update(x, y)
         model.update(x, y)
         assert sketch_to_bytes(sketch) == model.canonical_bytes()
+        assert sketch.outer_sweeps == model.rounds
 
     loaded = sketch_from_bytes(sketch_to_bytes(sketch))
     assert sketch_to_bytes(loaded) == model.canonical_bytes()
+    assert loaded.outer_sweeps == model.rounds
     for x, y in stream[cut:]:
         sketch.update(x, y)
         loaded.update(x, y)
@@ -114,6 +118,7 @@ def test_sketch_matches_eager_model_across_save_and_load(stream, s1, s2, cut):
         expected = model.canonical_bytes()
         assert sketch_to_bytes(sketch) == expected
         assert sketch_to_bytes(loaded) == expected
+        assert sketch.outer_sweeps == loaded.outer_sweeps == model.rounds
 
 
 READS = ("estimates", "report", "bytes")

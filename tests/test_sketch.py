@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from chh import ChhParams, ChhSketch, sketch_to_bytes, solve_params
+from chh import ChhParams, ChhSketch, sketch_from_bytes, sketch_to_bytes, solve_params
 from conftest import random_tuple_stream, true_counts
 
 pair = st.tuples(st.binary(max_size=2), st.binary(max_size=2))
@@ -238,3 +238,4 @@ def test_golden_snapshot_bytes_on_shed_heavy_streams(stream, s1, s2, outer_sweep
     sketch = run_sketch(ChhParams.from_raw("0.1", "0.2", s1, s2), stream)
     assert sketch.outer_sweeps == outer_sweeps
     assert hashlib.sha256(sketch_to_bytes(sketch)).hexdigest() == digest
+    assert sketch_from_bytes(sketch_to_bytes(sketch)).outer_sweeps == outer_sweeps

@@ -27,6 +27,7 @@ def test_roundtrip_is_bit_identical_and_behaviour_preserving(stream, s1, s2):
     assert sketch_to_bytes(restored) == blob
     assert restored.report() == sketch.report()
     assert restored.n == sketch.n
+    assert restored.outer_sweeps == sketch.outer_sweeps
     assert restored.entries() == sketch.entries()
 
     # identical behaviour under further updates
@@ -83,6 +84,11 @@ def test_solver_params_roundtrip(tmp_path):
         lambda blob: blob.replace(b"phi1 1/2", b"phi1 2/4"),  # unreduced fraction
         lambda blob: blob + b"end\n",  # bytes after the end marker
         lambda blob: blob.replace(b"phi1 1/2", b"phi1 1e-5000"),  # exponent form
+        lambda blob: blob.replace(b"n 4", b"n -4"),  # negative n
+        lambda blob: blob.replace(b"n 4", b"n 5"),  # n - counts not a multiple of s1 + 1
+        lambda blob: blob.replace(b"n 4", b"n 7").replace(  # 2 rounds lived, 1 run
+            b"p 61 3 3 2", b"p 61 3 5 2"
+        ),
     ],
 )
 def test_corrupt_snapshots_rejected(mutate):
@@ -93,6 +99,25 @@ def test_corrupt_snapshots_rejected(mutate):
     assert bad != blob
     with pytest.raises(SnapshotFormatError):
         sketch_from_bytes(bad)
+
+
+def test_round_clock_recovered_from_counts():
+    # n - sum(est_count) = 3 = (s1 + 1) * 1: exactly one outer round ran.
+    sketch = ChhSketch(ChhParams.from_raw("0.5", "0.5", 2, 2))
+    sketch.consume([(b"a", b"p"), (b"a", b"q"), (b"b", b"p"), (b"a", b"p")])
+    blob = sketch_to_bytes(sketch).replace(b"n 4", b"n 7")
+    shed_first = ChhSketch(ChhParams.from_raw("0.5", "0.5", 2, 2))
+    shed_first.consume([(b"c", b"x"), (b"d", b"x"), (b"e", b"x")])
+    shed_first.consume([(b"a", b"p"), (b"a", b"q"), (b"b", b"p"), (b"a", b"p")])
+    assert sketch_to_bytes(shed_first) == blob
+    assert shed_first.outer_sweeps == 1
+    assert sketch_from_bytes(blob).outer_sweeps == 1
+
+    empty = sketch_to_bytes(ChhSketch(ChhParams.from_raw("0.5", "0.5", 2, 2)))
+    assert sketch_from_bytes(empty.replace(b"n 0", b"n 6")).outer_sweeps == 2
+    for n in (b"n -3", b"n 4"):  # -1 rounds; 4 is not a multiple of 3
+        with pytest.raises(SnapshotFormatError):
+            sketch_from_bytes(empty.replace(b"n 0", n))
 
 
 def test_invariant_violating_snapshot_rejected():
