@@ -136,9 +136,10 @@ def sweep(
     checked before the first pass over ``source``.
 
     One loop over ``source`` feeds every sketch and, when ``oracle`` is not
-    given, pass 1 of :func:`exact_chh_multipass`; its passes 2 and 3 follow.
-    So ``source`` is read three times, or once when ``oracle`` is given. All
-    sketches are held at once, so memory is the sum of their sizes.
+    given, pass 1 of :func:`exact_chh_multipass`; its pass 2, and pass 3 when
+    a heavy primary's pair summary shed, follow. So ``source`` is read two or
+    three times, or once when ``oracle`` is given. All sketches are held at
+    once, so memory is the sum of their sizes.
     """
     require_replayable(source)
     if not s1_values or not s2_values:

@@ -2,10 +2,11 @@
 
 Exact answers need more than one pass (or unbounded memory), so these
 routines are validation tools, not streaming algorithms. Two routes exist
-and must agree: a naive full count of every value and pair, and a three-pass
-scheme that narrows each dimension to a bounded candidate set with an
-`MgSummary` and then counts only the candidates exactly, holding at most
-ceil(1/phi1) - 1 primaries and (ceil(1/phi1) - 1) * (ceil(1/phi2) - 1) pairs.
+and must agree: a naive full count of every value and pair, and a scheme of
+two or three passes that narrows each dimension to a bounded candidate set
+with an `MgSummary` and then counts only the candidates exactly, holding at
+most ceil(1/phi1) - 1 primaries and (ceil(1/phi1) - 1) * (ceil(1/phi2) - 1)
+pairs. The third pass runs only when a heavy primary's pair summary shed.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ class ExactCounts:
     """True frequencies: every counted primary value and (primary, secondary) pair.
 
     Produced complete by :func:`exact_counts_naive`; the multipass route fills
-    it only for candidate primaries and the candidate pairs under every
-    candidate primary, which is all the error statistics need.
+    it only for candidate primaries and the candidate pairs under the heavy
+    ones, which is all the error statistics need.
     """
 
     n: int
@@ -112,7 +113,7 @@ def exact_chh_naive(source: TupleSource, phi1: FractionLike, phi2: FractionLike)
 def exact_chh_multipass(
     source: TupleSource, phi1: FractionLike, phi2: FractionLike
 ) -> ExactChh:
-    """Exact heavy pairs in three passes and bounded memory.
+    """Exact heavy pairs in two or three passes and bounded memory.
 
     Both candidate summaries have capacity ceil(1/phi) - 1 for their phi.
     That suffices: a summary of capacity c that has seen m items undercounts
@@ -123,10 +124,13 @@ def exact_chh_multipass(
     Pass 1 collects primary candidates, so no value above the phi1 threshold
     is missed. Pass 2 counts each candidate exactly and feeds its
     secondaries to its own summary, which sees exactly the candidate's
-    sub-stream, so no secondary above phi2 * f_d is missed. Pass 3 counts
-    every candidate pair exactly. Memory is at most ceil(1/phi1) - 1 primary
-    counts and (ceil(1/phi1) - 1) * (ceil(1/phi2) - 1) pair counts; the
-    strict thresholds are applied by :func:`exact_chh_from_counts`.
+    sub-stream, so no secondary above phi2 * f_d is missed. Only heavy
+    primaries keep their candidate pairs. A summary that never shed holds
+    the exact count of every secondary it saw, so pass 3 recounts only the
+    pairs of heavy primaries whose summary shed, and is skipped when there
+    are none. Memory is at most ceil(1/phi1) - 1 primary counts and
+    (ceil(1/phi1) - 1) * (ceil(1/phi2) - 1) pair counts; the strict
+    thresholds are applied by :func:`exact_chh_from_counts`.
     """
     phi1, phi2 = to_thresholds(phi1, phi2)
     require_replayable(source)
@@ -145,7 +149,10 @@ def _primary_candidates(phi1: Fraction) -> MgSummary:
 def _exact_from_candidates(
     source: TupleSource, candidates: MgSummary, phi1: Fraction, phi2: Fraction
 ) -> ExactChh:
-    """Passes 2 and 3 of :func:`exact_chh_multipass`, after pass 1 filled ``candidates``."""
+    """Passes 2 and, when needed, 3 of :func:`exact_chh_multipass`.
+
+    Pass 1 has filled ``candidates``; see the caller for when pass 3 runs.
+    """
     inner_cap = math.ceil(1 / phi2) - 1
     secondary_candidates = {d: MgSummary(inner_cap) for d, _ in candidates.entries()}
     n = 0
@@ -155,14 +162,20 @@ def _exact_from_candidates(
         if summary is not None:
             summary.update(y)
     primary_counts = {d: summary.items_seen for d, summary in secondary_candidates.items()}
+    heavy = exact_chh_from_counts(ExactCounts(n, primary_counts, {}), phi1, phi2).primaries
 
+    # A summary that never shed holds the exact count of every secondary it
+    # saw; only the pairs of a heavy candidate whose summary shed need pass 3.
     pair_counts = {
-        (d, skey): 0
-        for d, summary in secondary_candidates.items()
-        for skey, _ in summary.entries()
+        (d, skey): count
+        for d in heavy
+        for skey, count in secondary_candidates[d].entries()
     }
-    for x, y in source:
-        key = (x, y)
-        if key in pair_counts:
-            pair_counts[key] += 1
+    recount = {key: 0 for key in pair_counts if secondary_candidates[key[0]].sweeps}
+    if recount:
+        for x, y in source:
+            key = (x, y)
+            if key in recount:
+                recount[key] += 1
+        pair_counts.update(recount)
     return exact_chh_from_counts(ExactCounts(n, primary_counts, pair_counts), phi1, phi2)

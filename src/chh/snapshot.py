@@ -8,13 +8,15 @@ length and the number of outer entries, then one ``p`` line per outer entry
 arbitrary byte strings, including empty ones and ones containing tabs or
 newlines, survive unchanged; at each level they strictly increase.
 
-`sketch_to_bytes` is the only definition of the layout. `sketch_from_bytes`
-reads the fields leniently into plain rows, has `ChhSketch.restore` check them
-against the invariants of the update rule, and then requires the sketch to
-save back to exactly the input bytes. It therefore accepts precisely what the
-saver writes for a state some stream can reach, and raises `SnapshotFormatError`
-on anything else. The shed-round counters are not saved: ``outer_sweeps`` is
-recovered from n and the primary counts, and each inner ``sweeps`` reads 0.
+`_batches` is the only definition of the layout: it yields the layout in
+batches of whole lines, which `sketch_to_bytes` joins and `save_sketch` writes
+one by one. `sketch_from_bytes` reads the fields leniently into plain rows, has
+`ChhSketch.restore` check them against the invariants of the update rule, and
+then requires the sketch to save back to exactly the input bytes, compared
+batch by batch. It therefore accepts precisely what the saver writes for a
+state some stream can reach, and raises `SnapshotFormatError` on anything else.
+The shed-round counters are not saved: ``outer_sweeps`` is recovered from n
+and the primary counts, and each inner ``sweeps`` reads 0.
 """
 
 from __future__ import annotations
@@ -22,15 +24,22 @@ from __future__ import annotations
 from binascii import hexlify, unhexlify
 from fractions import Fraction
 from pathlib import Path
+from typing import Iterator
 
 from .errors import SnapshotFormatError
 from .params import ChhParams
 from .sketch import ChhSketch
 
 _MAGIC = b"chh-sketch v1"
+_NOT_CANONICAL = "snapshot is not in the canonical form that save writes"
+_BATCH_LINES = 4096
 
 
-def sketch_to_bytes(sketch: ChhSketch) -> bytes:
+def _batches(sketch: ChhSketch) -> Iterator[bytes]:
+    """The layout as runs of whole lines, so no caller holds one object per line.
+
+    A batch closes at the first primary boundary after ``_BATCH_LINES`` lines.
+    """
     p = sketch.params
     lines = [_MAGIC]
     for name, value in (
@@ -45,6 +54,9 @@ def sketch_to_bytes(sketch: ChhSketch) -> bytes:
     lines.append(b"n %d" % sketch.n)
     lines.append(b"primaries %d" % len(sketch))
     for key, entry in sketch.entries():
+        if len(lines) >= _BATCH_LINES:
+            yield b"\n".join(lines) + b"\n"
+            lines = []
         inner = entry.inner
         lines.append(
             b"p %s %d %d %d"
@@ -53,7 +65,11 @@ def sketch_to_bytes(sketch: ChhSketch) -> bytes:
         for skey, count in inner.entries():
             lines.append(b"s %s %d" % (hexlify(skey), count))
     lines.append(b"end")
-    return b"\n".join(lines) + b"\n"
+    yield b"\n".join(lines) + b"\n"
+
+
+def sketch_to_bytes(sketch: ChhSketch) -> bytes:
+    return b"".join(_batches(sketch))
 
 
 def sketch_from_bytes(data: bytes) -> ChhSketch:
@@ -85,13 +101,19 @@ def sketch_from_bytes(data: bytes) -> ChhSketch:
     except (ValueError, ZeroDivisionError) as exc:
         raise SnapshotFormatError(f"malformed snapshot: {exc}") from exc
     sketch = ChhSketch.restore(params, n, rows)
-    if sketch_to_bytes(sketch) != data:
-        raise SnapshotFormatError("snapshot is not in the canonical form that save writes")
+    pos = 0
+    for batch in _batches(sketch):
+        if not data.startswith(batch, pos):
+            raise SnapshotFormatError(_NOT_CANONICAL)
+        pos += len(batch)
+    if pos != len(data):
+        raise SnapshotFormatError(_NOT_CANONICAL)
     return sketch
 
 
 def save_sketch(sketch: ChhSketch, path: str | Path) -> None:
-    Path(path).write_bytes(sketch_to_bytes(sketch))
+    with open(path, "wb") as out:
+        out.writelines(_batches(sketch))
 
 
 def load_sketch(path: str | Path) -> ChhSketch:

@@ -8,6 +8,7 @@ from chh import (
     InconsistentInputError,
     InvalidParameterError,
     exact_chh_multipass,
+    exact_chh_naive,
     exact_counts_naive,
     generate_zipf,
     primary_error_stats,
@@ -162,6 +163,16 @@ def test_sweep_reads_three_passes_for_all_configurations():
     source = CountingSource(tuples)
     assert sweep(source, "0.1", "0.2", [10, 20], [4, 8], oracle=oracle) == rows
     assert source.yielded == len(tuples)
+
+
+def test_sweep_reads_twice_without_heavy_primaries():
+    tuples = [(str(i).encode(), b"y") for i in range(10) for _ in range(10)]
+    source = CountingSource(tuples)
+    rows = sweep(source, "0.2", "0.5", [4, 8], [2])
+    assert source.yielded == 2 * len(tuples)
+    naive = exact_chh_naive(tuples, "0.2", "0.5")
+    assert rows == sweep(tuples, "0.2", "0.5", [4, 8], [2], oracle=naive)
+    assert all(row.primary.empty and row.secondary.empty for row in rows)
 
 
 def test_sweep_csv_layout():

@@ -116,6 +116,38 @@ def test_multipass_reads_the_source_three_times():
     assert source.yielded == 3 * len(tuples)
 
 
+@pytest.mark.parametrize(
+    "tuples, phi1, phi2, reads",
+    [
+        # no heavy primary: nothing to recount
+        ([(str(i).encode(), b"y") for i in range(10) for _ in range(10)], "0.2", "0.5", 2),
+        # every heavy primary has at most 4 secondaries, under capacity-4 summaries
+        (random_tuple_stream(6, 400, primaries=3, secondaries=4), "0.1", "0.2", 2),
+        # a fits its capacity-1 summary, b sheds: b's pairs are recounted
+        (
+            [(b"a", b"p")] * 10
+            + [(b"b", b"q"), (b"b", b"r"), (b"b", b"q")] * 3
+            + [(b"c", b"p"), (b"d", b"p")],
+            "0.2",
+            "0.5",
+            3,
+        ),
+    ],
+)
+def test_multipass_skips_the_third_read_when_heavy_summaries_did_not_shed(
+    tuples, phi1, phi2, reads
+):
+    source = CountingSource(tuples)
+    result = exact_chh_multipass(source, phi1, phi2)
+    assert source.yielded == reads * len(tuples)
+    naive = exact_chh_naive(tuples, phi1, phi2)
+    assert result.primaries == naive.primaries
+    assert result.pairs == naive.pairs
+    # every kept pair count is exact and lies under a heavy primary
+    assert result.counts.pairs.items() <= naive.counts.pairs.items()
+    assert all(d in naive.primaries for d, _ in result.counts.pairs)
+
+
 # 1/k thresholds make exact ties f_d = phi1 * n and f_{d,s} = phi2 * f_d common.
 small_rationals = st.one_of(
     st.integers(2, 8).map(lambda k: Fraction(1, k)),
@@ -140,6 +172,8 @@ def test_multipass_equals_naive_at_any_threshold(stream, phi1, phi2):
     assert multipass.n == naive.n
     assert multipass.primaries == naive.primaries
     assert multipass.pairs == naive.pairs
+    # pairs are kept only under heavy primaries
+    assert all(d in multipass.primaries for d, _ in multipass.counts.pairs)
     # the memory bound: candidate primaries, and candidate pairs under them
     assert len(multipass.counts.primary) <= math.ceil(1 / phi1) - 1
     assert len(multipass.counts.pairs) <= (math.ceil(1 / phi1) - 1) * (math.ceil(1 / phi2) - 1)

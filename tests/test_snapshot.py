@@ -12,6 +12,7 @@ from chh import (
     sketch_to_bytes,
     solve_params,
 )
+from chh.snapshot import _batches
 from conftest import random_tuple_stream
 
 pair = st.tuples(st.binary(max_size=3), st.binary(max_size=3))
@@ -139,6 +140,55 @@ def test_uppercase_hex_rejected():
     for bad in (blob.replace(b"p ab", b"p AB"), blob.replace(b"s cd", b"s Cd")):
         with pytest.raises(SnapshotFormatError):
             sketch_from_bytes(bad)
+
+
+def large_sketch():
+    # 3000 primaries with two secondaries each: 9000 entry lines, three batches
+    sketch = ChhSketch(ChhParams.from_raw("0.5", "0.5", 3000, 2))
+    sketch.consume((b"k%d" % i, s) for i in range(3000) for s in (b"p", b"q"))
+    return sketch
+
+
+def test_snapshot_larger_than_one_batch_roundtrips(tmp_path):
+    sketch = large_sketch()
+    batches = list(_batches(sketch))
+    assert len(batches) == 3
+    # every batch after the first opens at a primary boundary
+    assert all(batch.startswith(b"p ") for batch in batches[1:])
+    blob = sketch_to_bytes(sketch)
+    assert blob == b"".join(batches)
+    path = tmp_path / "sketch.snap"
+    save_sketch(sketch, path)
+    assert path.read_bytes() == blob
+    restored = load_sketch(path)
+    assert restored.n == sketch.n
+    assert restored.entries() == sketch.entries()
+
+
+def uppercase_last_primary_key(blob, batches):
+    # unhexlify accepts "6B", so only the re-save check of the last batch rejects it
+    at = blob.rindex(b"\np 6b") + 4
+    assert at > len(blob) - len(batches[-1])
+    return blob[:at] + b"B" + blob[at + 1:]
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        uppercase_last_primary_key,
+        lambda blob, batches: blob + b"\n",
+        lambda blob, batches: blob + b"end\n",
+        lambda blob, batches: blob[: len(batches[0])],
+        lambda blob, batches: blob[: len(blob) - len(batches[-1])],
+    ],
+)
+def test_large_snapshot_mutations_rejected(mutate):
+    sketch = large_sketch()
+    blob = sketch_to_bytes(sketch)
+    bad = mutate(blob, list(_batches(sketch)))
+    assert bad != blob
+    with pytest.raises(SnapshotFormatError):
+        sketch_from_bytes(bad)
 
 
 @st.composite
