@@ -4,7 +4,9 @@ The error statistic for a heavy primary d is (f_d - est_d) / n; for a heavy
 pair (d, s) it is (f_{d,s} - est_{d,s}) / f_d. Both are measured only over
 the exact heavy sets (never over whatever extras a sketch reported), and
 both stay below a closed-form ceiling whenever the sketch ran with feasible
-parameters: 1/s1 for primaries, and 1/s2 + 1/((phi1 - eps1) s1) for pairs.
+parameters, read off the `ChhParams` slack methods: ``primary_slack(1)``, or
+1/s1, for primaries, and ``pair_slack(f, 1) / f`` at f = phi1 - eps1, or
+1/s2 + 1/((phi1 - eps1) s1), for pairs.
 """
 
 from __future__ import annotations
@@ -19,12 +21,13 @@ from .oracle import (
     ExactChh,
     ExactCounts,
     TupleSource,
+    _candidate_summary,
     _exact_from_candidates,
-    _primary_candidates,
+    _heavy_primaries,
     exact_chh_from_counts,
     require_replayable,
 )
-from .params import ChhParams, FractionLike, to_fraction, to_thresholds
+from .params import ChhParams, FractionLike, _to_threshold, to_thresholds
 from .sketch import ChhSketch
 
 ErrorItem = Union[bytes, tuple[bytes, bytes]]
@@ -72,23 +75,24 @@ def primary_error_stats(
 ) -> ErrorStats:
     """Relative undercount (f_d - est_d)/n over the exact heavy primaries."""
     _check_same_stream(exact, sketch)
-    phi1 = to_fraction(phi1, "phi1")
     n = exact.n
+    heavy = _heavy_primaries(exact.primary, n, _to_threshold(phi1, "phi1"))
     errors = [
         (d, Fraction(count - sketch.estimate_primary(d), n))
-        for d, count in sorted(exact.primary.items())
-        if count > phi1 * n
+        for d, count in sorted(heavy.items())
     ]
-    return _finish(errors, Fraction(1, sketch.params.s1))
+    # The ceiling is primary_slack(n) / n, taken at n = 1 because n may be 0.
+    return _finish(errors, sketch.params.primary_slack(1))
 
 
 def secondary_theoretical_max(params: ChhParams) -> Fraction:
     """Ceiling for the pair error statistic: 1/s2 plus the outer-shed share.
 
-    The outer-table share divides by phi1 - eps1, because any reported
-    primary's true count is at least that fraction of n.
+    This is the pair slack per unit of f_d, taken at f_d = (phi1 - eps1) * n,
+    because any reported primary's true count is at least that fraction of n.
     """
-    return Fraction(1, params.s2) + 1 / ((params.phi1 - params.eps1) * params.s1)
+    f = params.phi1 - params.eps1
+    return params.pair_slack(f, 1) / f
 
 
 def secondary_error_stats(
@@ -148,7 +152,7 @@ def sweep(
     phi1, phi2 = to_thresholds(phi1, phi2)
     sketches = [ChhSketch(params) for params in configs]
     updates = [sketch.update for sketch in sketches]
-    candidates = _primary_candidates(phi1) if oracle is None else None
+    candidates = _candidate_summary(phi1) if oracle is None else None
     for x, y in source:
         if candidates is not None:
             candidates.update(x)

@@ -43,9 +43,10 @@ class ExactCounts:
 class ExactChh:
     """Exact heavy primaries and exact correlated heavy pairs, with counts.
 
-    Membership uses the strict definitions, applied in one place by
-    :func:`exact_chh_from_counts`: f_d above phi1 * n for primaries, and
-    f_{d,s} above phi2 * f_d for pairs under a heavy d.
+    Membership uses the strict definitions, applied by
+    :func:`exact_chh_from_counts`: f_d above phi1 * n for primaries (the one
+    rule that `_heavy_primaries` writes), and f_{d,s} above phi2 * f_d for
+    pairs under a heavy d.
     """
 
     primaries: dict[bytes, int]
@@ -96,14 +97,18 @@ def exact_chh_from_counts(
 ) -> ExactChh:
     """Apply the strict heavy-hitter definitions directly to exact counts."""
     phi1, phi2 = to_thresholds(phi1, phi2)
-    n = counts.n
-    heavy = {d: c for d, c in counts.primary.items() if c > phi1 * n}
+    heavy = _heavy_primaries(counts.primary, counts.n, phi1)
     heavy_pairs = {
         (d, s): c
         for (d, s), c in counts.pairs.items()
         if d in heavy and c > phi2 * heavy[d]
     }
     return ExactChh(primaries=heavy, pairs=heavy_pairs, counts=counts)
+
+
+def _heavy_primaries(primary: dict[bytes, int], n: int, phi1: Fraction) -> dict[bytes, int]:
+    """The primary rule: the counts of ``primary`` above phi1 * n."""
+    return {d: c for d, c in primary.items() if c > phi1 * n}
 
 
 def exact_chh_naive(source: TupleSource, phi1: FractionLike, phi2: FractionLike) -> ExactChh:
@@ -135,15 +140,15 @@ def exact_chh_multipass(
     phi1, phi2 = to_thresholds(phi1, phi2)
     require_replayable(source)
 
-    candidates = _primary_candidates(phi1)
+    candidates = _candidate_summary(phi1)
     for x, _ in source:
         candidates.update(x)
     return _exact_from_candidates(source, candidates, phi1, phi2)
 
 
-def _primary_candidates(phi1: Fraction) -> MgSummary:
-    """The empty pass-1 summary of :func:`exact_chh_multipass`; feed it every x."""
-    return MgSummary(math.ceil(1 / phi1) - 1)
+def _candidate_summary(phi: Fraction) -> MgSummary:
+    """An empty candidate summary of capacity ceil(1/phi) - 1; see :func:`exact_chh_multipass`."""
+    return MgSummary(math.ceil(1 / phi) - 1)
 
 
 def _exact_from_candidates(
@@ -153,8 +158,7 @@ def _exact_from_candidates(
 
     Pass 1 has filled ``candidates``; see the caller for when pass 3 runs.
     """
-    inner_cap = math.ceil(1 / phi2) - 1
-    secondary_candidates = {d: MgSummary(inner_cap) for d, _ in candidates.entries()}
+    secondary_candidates = {d: _candidate_summary(phi2) for d, _ in candidates.entries()}
     n = 0
     for x, y in source:
         n += 1
@@ -162,7 +166,7 @@ def _exact_from_candidates(
         if summary is not None:
             summary.update(y)
     primary_counts = {d: summary.items_seen for d, summary in secondary_candidates.items()}
-    heavy = exact_chh_from_counts(ExactCounts(n, primary_counts, {}), phi1, phi2).primaries
+    heavy = _heavy_primaries(primary_counts, n, phi1)
 
     # A summary that never shed holds the exact count of every secondary it
     # saw; only the pairs of a heavy candidate whose summary shed need pass 3.

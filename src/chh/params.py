@@ -56,15 +56,17 @@ def to_fraction(value: FractionLike, name: str = "value") -> Fraction:
     raise InvalidParameterError(f"cannot interpret {name}={value!r} as a rational")
 
 
+def _to_threshold(value: FractionLike, name: str) -> Fraction:
+    """Convert one heavy-hitter fraction and check that it lies in (0, 1)."""
+    value = to_fraction(value, name)
+    if not 0 < value < 1:
+        raise InvalidParameterError(f"{name} must lie in (0, 1), got {value}")
+    return value
+
+
 def to_thresholds(phi1: FractionLike, phi2: FractionLike) -> tuple[Fraction, Fraction]:
     """Convert both heavy-hitter fractions and check that each lies in (0, 1)."""
-    phi1 = to_fraction(phi1, "phi1")
-    phi2 = to_fraction(phi2, "phi2")
-    if not 0 < phi1 < 1:
-        raise InvalidParameterError(f"phi1 must lie in (0, 1), got {phi1}")
-    if not 0 < phi2 < 1:
-        raise InvalidParameterError(f"phi2 must lie in (0, 1), got {phi2}")
-    return phi1, phi2
+    return _to_threshold(phi1, "phi1"), _to_threshold(phi2, "phi2")
 
 
 def _check_eps1(eps1: Fraction, phi1: Fraction) -> None:
@@ -141,9 +143,17 @@ class ChhParams:
         """Which sizing regime applies: "I" when eps1 >= eps2 / (2 alpha)."""
         return "I" if self.eps1 >= self.eps2 / (2 * self.alpha) else "II"
 
+    def primary_slack(self, n: int) -> Fraction:
+        """n/s1: how far a primary estimate can fall short after n tuples."""
+        return Fraction(n, self.s1)
+
+    def pair_slack(self, f_d: int | Fraction, n: int) -> Fraction:
+        """f_d/s2 + n/s1: how far a pair estimate under a primary of count f_d can fall short."""
+        return Fraction(f_d, self.s2) + self.primary_slack(n)
+
     def constraint1_satisfied(self) -> bool:
         """Outer table large enough for the primary tolerance: 1/s1 <= eps1."""
-        return Fraction(1, self.s1) <= self.eps1
+        return self.primary_slack(1) <= self.eps1
 
     def constraint2_satisfied(self) -> bool:
         """Secondary feasibility: 1/s2 + alpha/s1 <= eps2, with eps2 <= phi2.

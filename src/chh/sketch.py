@@ -17,9 +17,9 @@ with tuple (x, y) takes one of three paths:
 Pairing the outer decrement with an inner decrement keeps every inner
 table's total at or below its primary count, which is what makes the
 reporting thresholds safe. Estimates never exceed true frequencies; a
-primary count is short by less than n/s1 and a pair count by less than
-f_d/s2 + n/s1, where n is the stream length so far and f_d the true
-primary frequency.
+primary count is short by less than n/s1 (`ChhParams.primary_slack`) and a
+pair count by less than f_d/s2 + n/s1 (`ChhParams.pair_slack`), where n is
+the stream length so far and f_d the true primary frequency.
 
 The outer shed round is lazy, in the manner of the O(1)-per-item Frequent
 implementations (Demaine, Lopez-Ortiz and Munro 2002; Karp, Shenker and
@@ -41,7 +41,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from fractions import Fraction
 from math import ceil
 from typing import Iterable, Iterator
 
@@ -241,8 +240,9 @@ class ChhSketch:
     def report(self) -> ChhReport:
         """Heavy primaries and their correlated heavies at the current length.
 
-        A primary d is reported when est_d >= (phi1 - 1/s1) * n; a secondary
-        s under it when est_{d,s} >= (phi2 - 1/s2) * est_d - n/s1. Both
+        A primary d is reported when est_d >= phi1 * n - primary_slack(n),
+        and a secondary s under it when est_{d,s} >= phi2 * est_d -
+        pair_slack(est_d, n), with the `ChhParams` slack methods. Both
         thresholds are exact rationals, so boundary ties never fall to float
         rounding; an integer count meets one exactly when it meets its
         ceiling. With feasible parameters this reports every true heavy pair
@@ -253,9 +253,7 @@ class ChhSketch:
         p = self.params
         n = self.n
         sweeps = self.outer_sweeps
-        primary_floor = ceil((p.phi1 - Fraction(1, p.s1)) * n)
-        inner_rate = p.phi2 - Fraction(1, p.s2)
-        outer_slack = Fraction(n, p.s1)
+        primary_floor = ceil(p.phi1 * n - p.primary_slack(n))
         heavy = sorted(
             (key, entry)
             for key, entry in self._table.items()
@@ -264,7 +262,7 @@ class ChhSketch:
         reported = []
         for key, entry in heavy:
             entry.settle(sweeps)
-            inner_floor = ceil(inner_rate * entry.est_count - outer_slack)
+            inner_floor = ceil(p.phi2 * entry.est_count - p.pair_slack(entry.est_count, n))
             secondaries = tuple(
                 (skey, est) for skey, est in entry.inner.entries() if est >= inner_floor
             )

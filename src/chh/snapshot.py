@@ -10,7 +10,8 @@ newlines, survive unchanged; at each level they strictly increase.
 
 `_batches` is the only definition of the layout: it yields the layout in
 batches of whole lines, which `sketch_to_bytes` joins and `save_sketch` writes
-one by one. `sketch_from_bytes` reads the fields leniently into plain rows, has
+one by one. `sketch_from_bytes` reads the input one line at a time, so it holds
+no object per line, and reads the fields leniently into plain rows, has
 `ChhSketch.restore` check them against the invariants of the update rule, and
 then requires the sketch to save back to exactly the input bytes, compared
 batch by batch. It therefore accepts precisely what the saver writes for a
@@ -21,6 +22,7 @@ and the primary counts, and each inner ``sweeps`` reads 0.
 
 from __future__ import annotations
 
+import io
 from binascii import hexlify, unhexlify
 from fractions import Fraction
 from pathlib import Path
@@ -74,11 +76,12 @@ def sketch_to_bytes(sketch: ChhSketch) -> bytes:
 
 def sketch_from_bytes(data: bytes) -> ChhSketch:
     """Load a snapshot written by `sketch_to_bytes` for a reachable state; see the module doc."""
-    lines = data.split(b"\n")
-    if lines[0] != _MAGIC:
+    lines = io.BytesIO(data)
+    if lines.readline() != _MAGIC + b"\n":
         raise SnapshotFormatError("not a sketch snapshot (bad magic line)")
     try:
-        values = [line.partition(b" ")[2] for line in lines[1:8]]
+        # The last field of a line keeps its newline, which `int` ignores.
+        values = [lines.readline().partition(b" ")[2] for _ in range(7)]
         phi1, phi2, eps1, eps2 = (
             Fraction(int(num), int(den)) for num, den in (v.split(b"/") for v in values[:4])
         )
@@ -87,9 +90,10 @@ def sketch_from_bytes(data: bytes) -> ChhSketch:
         # The `primaries` line, the inner sizes and `end` are left to the
         # re-save check, as are `s` lines before the first `p` line, which
         # land in this throwaway dict.
+        lines.readline()
         rows = []
         counts: dict[bytes, int] = {}
-        for line in lines[9:]:
+        for line in lines:
             fields = line.split(b" ")
             if fields[0] == b"s":
                 _, key, count = fields

@@ -12,7 +12,7 @@ BETTER = {"build_tuples_per_s": "higher", "evaluate_s": "lower"}
 
 
 def side(sha, failed, **values):
-    units = {"build_tuples_per_s": "tuples/s", "evaluate_s": "s"}
+    units = {"build_tuples_per_s": "tuples/s", "evaluate_s": "s", "report_s": "s", "exact_s": "s"}
     return {
         "result": {
             "correct": True,
@@ -96,6 +96,16 @@ def test_median_ratio_is_none_when_a_parent_value_is_zero():
     summary = bench_ab.summarize(pairs, BETTER)
     assert summary["evaluate_s"]["median_ratio"] is None
     assert summary["build_tuples_per_s"]["median_ratio"] is not None
+
+
+def test_summarize_pairs_shared_metrics_and_lists_one_sided_ones():
+    pairs = [pair({"evaluate_s": 2.0, "report_s": 1.0}, {"evaluate_s": 1.0, "exact_s": 3.0}),
+             pair({"evaluate_s": 2.0, "report_s": 1.0}, {"evaluate_s": 4.0, "exact_s": 3.0})]
+    summary = bench_ab.summarize(pairs, BETTER)
+    assert set(summary) == {"evaluate_s", "one_sided"}
+    assert summary["evaluate_s"]["change_wins"] == 1
+    assert summary["one_sided"] == {"parent": ["report_s"], "change": ["exact_s"]}
+    assert "one_sided" not in bench_ab.summarize(two_pairs(), BETTER)
 
 
 def test_record_sums_failed_over_both_sides():

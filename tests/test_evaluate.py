@@ -81,6 +81,17 @@ def test_mismatched_stream_lengths_rejected():
         secondary_error_stats(counts, sketch, "0.5", "0.5")
 
 
+@pytest.mark.parametrize("phi1", ["0", "1", "-1", "3/2"])
+def test_error_stats_reject_phi1_outside_unit_interval(phi1):
+    stream = [(b"a", b"p")] * 4
+    sketch = build(ChhParams.from_raw("0.5", "0.5", 2, 2), stream)
+    counts = exact_counts_naive(stream)
+    with pytest.raises(InvalidParameterError):
+        primary_error_stats(counts, sketch, phi1)
+    with pytest.raises(InvalidParameterError):
+        secondary_error_stats(counts, sketch, phi1, "0.5")
+
+
 def test_errors_measured_only_over_exact_heavy_sets():
     # b is reported by the sketch (tiny floor) but is not an exact heavy
     # hitter, so it must not contribute an error item.

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chh import ChhParams, InvalidParameterError, solve_params, to_fraction
+from chh import (
+    ChhParams,
+    InvalidParameterError,
+    secondary_theoretical_max,
+    solve_params,
+    to_fraction,
+)
 
 
 def test_to_fraction_variants():
@@ -166,3 +172,23 @@ def test_solved_sizes_always_feasible(phi1, phi2, t1, t2):
     # eps1 = phi1*t1/2 spans (0, phi1/2] and eps2 = phi2*t2 spans (0, phi2]
     params = solve_params(phi1, phi2, phi1 * t1 / 2, phi2 * t2)
     assert params.constraints_satisfied()
+
+
+raw_params = st.builds(
+    ChhParams.from_raw, below_one, below_one, st.integers(1, 10**6), st.integers(1, 10**6)
+)
+solved_params = valid_configs.map(lambda config: solve_params(*config))
+
+
+@settings(max_examples=300)
+@given(
+    params=st.one_of(raw_params, solved_params),
+    n=st.integers(0, 10**9),
+    f_d=st.integers(0, 10**9),
+)
+def test_slack_methods_match_the_paper_bounds(params, n, f_d):
+    assert params.primary_slack(n) == Fraction(n, params.s1)
+    assert params.pair_slack(f_d, n) == Fraction(f_d, params.s2) + Fraction(n, params.s1)
+    assert secondary_theoretical_max(params) == (
+        Fraction(1, params.s2) + 1 / ((params.phi1 - params.eps1) * params.s1)
+    )

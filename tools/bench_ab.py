@@ -15,7 +15,8 @@ a workload uses seed i + 1. Every ``--traced`` workload gets one more pair
 with ``--trace 1``. The record holds both result lines of every pair (the last JSON line of each run, and the
 detail line before it), whether the output digests of the two sides agree,
 and per workload and trace setting the median change/parent ratio of each
-metric, each side's median and quartiles, and how many pairs the change won.
+metric both sides report, each side's median and quartiles, and how many pairs
+the change won; a metric only one side reports is listed under ``one_sided``.
 ``gain_rule_met`` says whether a gain may be claimed for the metric: the change
 won at least nine tenths of the pairs, ties counting for neither, and its
 median beats the parent's by more than the parent's quartile spread.
@@ -48,9 +49,21 @@ def quartiles(values: list[float]) -> list[float]:
 
 
 def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
+    """Summarize each metric both sides report, keyed by its name.
+
+    A metric only one side reports cannot be paired; when there are any, the
+    ``one_sided`` key lists their names under ``parent`` and ``change``.
+    """
     metrics = pairs[0]["parent"]["result"]["metrics"]
+    change_metrics = pairs[0]["change"]["result"]["metrics"]
     summary = {}
+    one_sided = {"parent": sorted(metrics.keys() - change_metrics.keys()),
+                 "change": sorted(change_metrics.keys() - metrics.keys())}
+    if one_sided["parent"] or one_sided["change"]:
+        summary["one_sided"] = one_sided
     for name in metrics:
+        if name not in change_metrics:
+            continue
         parent = [p["parent"]["result"]["metrics"][name]["value"] for p in pairs]
         change = [p["change"]["result"]["metrics"][name]["value"] for p in pairs]
         lower = better.get(name, "lower") == "lower"
