@@ -11,13 +11,13 @@ cannot exceed the total inserted mass.
 
 The shed round is eager: it touches every stored entry, so an update costs
 O(capacity) when it sheds and O(1) otherwise. The nested two-dimensional
-sketch also needs the single-entry decrement `decrement_least_key`: it pays
-the inner units a primary owes for the outer rounds run since its last read,
-one call per unit and all in a row, just before that read. The summary keeps
-its keys in a heap, built in O(capacity) on the first decrement after a new
-key enters and popped in O(log capacity) when a key leaves, so a run of k
-decrements costs O(capacity + k log capacity) at most. The heap holds at most
-``capacity`` key references and is dropped when a new key enters.
+sketch also needs `decrement_least`, which takes units off the smallest
+keys: in one call before a read, it pays the inner units a primary owes for
+the outer rounds run since its last read. The keys sit in a heap, built in
+O(capacity) on the first decrement after a new key enters and popped in
+O(log capacity) per key that leaves, whatever the number of units. The heap
+holds at most ``capacity`` key references and is dropped when a new key
+enters.
 """
 
 from __future__ import annotations
@@ -112,29 +112,37 @@ class MgSummary:
         return sum(self._entries.values())
 
     def decrement_least_key(self) -> None:
-        """Remove one unit of mass from the smallest retained key.
+        """`decrement_least` of one unit; raises ``ValueError`` on an empty summary."""
+        if not self._entries:
+            raise ValueError("decrement_least_key() on an empty summary")
+        self.decrement_least(1)
 
-        Drops the key when its count reaches zero. Used by the nested sketch,
-        which must shed one inner unit per outer unit; picking the smallest
-        key makes runs reproducible where any retained key would be correct.
-        Does not count as an observed item. Raises ``ValueError`` on an empty
-        summary.
+    def decrement_least(self, units: int) -> None:
+        """Remove ``units`` of mass from the smallest retained keys.
 
-        The heap of the keys is built in O(len(self)) when a new key has
-        entered since the last call, and popped in O(log len(self)) when the
-        key leaves; otherwise a call costs O(1).
+        Takes all it can from the least key, then from the next, dropping keys
+        at zero; units beyond the total empty the summary. The least key stays
+        least until it leaves, so this is ``units`` one-unit decrements of the
+        least key: the nested sketch sheds one inner unit per outer unit, and
+        the smallest key keeps runs reproducible where any key would be
+        correct. Not an observed item. The key heap is rebuilt in O(len(self))
+        if a new key entered since the last call, and popped in
+        O(log len(self)) per key that leaves; zero units cost O(1).
         """
         entries = self._entries
-        if not entries:
-            raise ValueError("decrement_least_key() on an empty summary")
+        # The save settles every entry; one that owes nothing must not build a heap.
+        if not units or not entries:
+            return
         heap = self._heap
         if heap is None:
             heap = self._heap = list(entries)
             heapify(heap)
-        key = heap[0]
-        count = entries[key]
-        if count == 1:
+        while units and heap:
+            key = heap[0]
+            count = entries[key]
+            if count > units:
+                entries[key] = count - units
+                return
             del entries[key]
             heappop(heap)
-        else:
-            entries[key] = count - 1
+            units -= count

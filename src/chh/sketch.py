@@ -24,17 +24,16 @@ the stream length so far and f_d the true primary frequency.
 The outer shed round is lazy, in the manner of the O(1)-per-item Frequent
 implementations (Demaine, Lopez-Ortiz and Munro 2002; Karp, Shenker and
 Papadimitriou 2003). ``outer_sweeps`` is the round clock, and each entry
-records the clock at its last sync, so its true count is
-``est_count - (outer_sweeps - synced)``. A calendar files every key under
-one round no later than the round its count reaches zero; a round visits
-only its own bucket, drops the entries that are due and files the others
-under their own later due round. The units an entry owes reach its inner
-table (one `MgSummary.decrement_least_key` each) only when it is read:
-before a hit updates it, in `ChhSketch.estimate_pair`, `ChhSketch.entries`
-and the snapshot save, and in `ChhSketch.report` for the primaries it
-reports. Nothing else touches an inner table between two of those reads,
-so the state read is the one the eager round would have left. Besides the
-insert and the round, only `ChhSketch.restore` files keys, for a load.
+stores ``due``, the round its count reaches zero, so its count is
+``due - outer_sweeps``. A calendar files every key under one round no later
+than its due round; a round visits only its own bucket, drops the entries
+that are due and files the others under their own later due round. The
+units an entry owes its inner table reach it in one `MgSummary.decrement_least`
+call when it is read: before a hit updates it, in `ChhSketch.estimate_pair`,
+`ChhSketch.entries` and the snapshot save, and in `ChhSketch.report` for the
+primaries it reports. Nothing else touches an inner table between two of
+those reads, so the state read is the one the eager round would have left.
+Besides the insert and the round, only `ChhSketch.restore` files keys.
 """
 
 from __future__ import annotations
@@ -50,29 +49,29 @@ from .params import ChhParams
 
 
 class PrimaryEntry:
-    """Outer-table slot: estimated primary count plus the inner summary.
+    """Outer-table slot: the round ``due`` its count reaches zero, and the inner summary.
 
-    ``est_count`` and ``inner`` are exact as of round ``synced`` of the
-    owning sketch; the rounds run since then are owed until `settle`.
+    After round r of the owning sketch the count is ``due - r``. ``inner`` is
+    exact as of round ``synced``; each round run since then owes it one unit
+    until `settle`.
     """
 
-    __slots__ = ("est_count", "inner", "synced")
+    __slots__ = ("due", "inner", "synced")
 
-    def __init__(self, est_count: int, inner: MgSummary, synced: int):
-        self.est_count = est_count
+    def __init__(self, due: int, inner: MgSummary, synced: int):
+        self.due = due
         self.inner = inner
         self.synced = synced
 
+    @property
+    def est_count(self) -> int:
+        """The count as of round ``synced``: the current count once settled."""
+        return self.due - self.synced
+
     def settle(self, outer_sweeps: int) -> None:
-        """Apply the rounds owed up to ``outer_sweeps``: one count and one inner unit each."""
-        owed = outer_sweeps - self.synced
-        self.est_count -= owed
+        """Pay the inner units owed for the rounds up to ``outer_sweeps`` in one call."""
+        self.inner.decrement_least(outer_sweeps - self.synced)
         self.synced = outer_sweeps
-        inner = self.inner
-        for _ in range(owed):
-            if not len(inner):
-                break
-            inner.decrement_least_key()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PrimaryEntry):
@@ -80,10 +79,7 @@ class PrimaryEntry:
         return self.est_count == other.est_count and self.inner == other.inner
 
     def __repr__(self) -> str:
-        return (
-            f"PrimaryEntry(est_count={self.est_count}, inner={self.inner!r}, "
-            f"synced={self.synced})"
-        )
+        return f"PrimaryEntry(due={self.due}, inner={self.inner!r}, synced={self.synced})"
 
 
 @dataclass(frozen=True)
@@ -158,7 +154,7 @@ class ChhSketch:
             ):
                 raise SnapshotFormatError(f"entry for key {key!r} violates sketch invariants")
             inner = MgSummary.restore(params.s2, items_seen, counts)
-            entry = sketch._table[key] = PrimaryEntry(est_count, inner, sweeps)
+            entry = sketch._table[key] = PrimaryEntry(sweeps + est_count, inner, sweeps)
             sketch._file(key, entry)
         return sketch
 
@@ -173,19 +169,19 @@ class ChhSketch:
         if entry is not None:
             if entry.synced != sweeps:
                 entry.settle(sweeps)
-            entry.est_count += 1
+            entry.due += 1
             entry.inner.update(y)
             return
         inner = MgSummary(self.params.s2)
         inner.update(y)
-        entry = self._table[x] = PrimaryEntry(1, inner, sweeps)
+        entry = self._table[x] = PrimaryEntry(sweeps + 1, inner, sweeps)
         self._file(x, entry)
         if len(self._table) > self.params.s1:
             self._shed_outer()
 
     def _file(self, key: bytes, entry: PrimaryEntry) -> None:
         """The calendar rule: ``key`` waits for the round its count reaches zero."""
-        self._calendar[entry.synced + entry.est_count].append(key)
+        self._calendar[entry.due].append(key)
 
     def _shed_outer(self) -> None:
         # One unit of mass leaves every primary entry, and a paired unit
@@ -199,7 +195,7 @@ class ChhSketch:
         file = self._file
         for key in self._calendar.pop(due):
             entry = table[key]
-            if entry.synced + entry.est_count > due:
+            if entry.due > due:
                 file(key, entry)
             else:
                 del table[key]
@@ -213,7 +209,7 @@ class ChhSketch:
     def estimate_primary(self, d: bytes) -> int:
         """Estimated frequency of primary value ``d`` (0 when not retained)."""
         entry = self._table.get(d)
-        return 0 if entry is None else entry.est_count - (self.outer_sweeps - entry.synced)
+        return 0 if entry is None else entry.due - self.outer_sweeps
 
     def estimate_pair(self, d: bytes, s: bytes) -> int:
         """Estimated frequency of the pair (d, s) (0 when not retained).
@@ -229,8 +225,8 @@ class ChhSketch:
     def entries(self) -> list[tuple[bytes, PrimaryEntry]]:
         """Current outer entries sorted by key. Treat the entries as read-only.
 
-        Settles every entry first, so each count and inner table is current;
-        this costs one `MgSummary.decrement_least_key` per unit still owed.
+        Settles every entry first, so each inner table is current; this costs
+        one `MgSummary.decrement_least` call per entry, O(1) when it owes none.
         """
         sweeps = self.outer_sweeps
         for entry in self._table.values():
@@ -254,11 +250,7 @@ class ChhSketch:
         n = self.n
         sweeps = self.outer_sweeps
         primary_floor = ceil(p.phi1 * n - p.primary_slack(n))
-        heavy = sorted(
-            (key, entry)
-            for key, entry in self._table.items()
-            if entry.est_count - (sweeps - entry.synced) >= primary_floor
-        )
+        heavy = sorted((k, e) for k, e in self._table.items() if e.due - sweeps >= primary_floor)
         reported = []
         for key, entry in heavy:
             entry.settle(sweeps)

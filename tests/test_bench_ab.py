@@ -122,6 +122,9 @@ def test_record_sums_failed_over_both_sides():
     (["--pairs", "zipf=1", "--traced", "nosuch"], "unknown workload(s) nosuch;"),
     (["--pairs", "zipf"], "--pairs takes WORKLOAD=PAIRS"),
     (["--pairs", "zipf=x"], "--pairs takes WORKLOAD=PAIRS"),
+    (["--pairs", "zipf=0"], "--pairs takes at least one pair per workload"),
+    (["--pairs", "churn=1,zipf=-2"], "--pairs takes at least one pair per workload"),
+    (["--pairs", "zipf=3,zipf=2"], "--pairs names a workload twice"),
 ])
 def test_bad_workload_plan_exits_two_before_any_run(monkeypatch, tmp_path, capsys, flags, message):
     def no_run(*args):

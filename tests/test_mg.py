@@ -140,9 +140,14 @@ def test_decrement_least_key_on_empty_summary_raises_value_error():
 
 
 small_keys = st.sampled_from([b"", b"a", b"b", b"c", b"d", b"e", b"f", b"g"])
-# A key is an update; None is one decrement_least_key call, in runs of 1 to 8.
+# A key is an update; None is one decrement_least_key call, in runs of 1 to 8;
+# an int k is one decrement_least(k) call.
 operations = st.lists(
-    st.one_of(small_keys.map(lambda key: [key]), st.integers(1, 8).map(lambda run: [None] * run)),
+    st.one_of(
+        small_keys.map(lambda key: [key]),
+        st.integers(1, 8).map(lambda run: [None] * run),
+        st.integers(0, 12).map(lambda units: [units]),
+    ),
     max_size=80,
 ).map(lambda runs: [step for run in runs for step in run])
 
@@ -156,20 +161,27 @@ def test_decrements_interleaved_with_updates_match_a_min_model(capacity, steps):
     model: dict[bytes, int] = {}
     seen = 0
     for key in steps:
-        if key is not None:
+        if isinstance(key, bytes):
             summary.update(key)
             seen += 1
             model[key] = model.get(key, 0) + 1
             if len(model) > capacity:
                 model = {k: count - 1 for k, count in model.items() if count > 1}
-        elif model:
-            summary.decrement_least_key()
-            least = min(model)
-            model[least] -= 1
-            if model[least] == 0:
-                del model[least]
-        else:
+        elif key is None and not model:
             with pytest.raises(ValueError):
                 summary.decrement_least_key()
+        else:
+            if key is None:
+                summary.decrement_least_key()
+            else:
+                summary.decrement_least(key)
+            # One unit at a time from the least key; nothing once empty.
+            for _ in range(1 if key is None else key):
+                if not model:
+                    break
+                least = min(model)
+                model[least] -= 1
+                if model[least] == 0:
+                    del model[least]
         assert summary.entries() == sorted(model.items())
         assert summary.items_seen == seen

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from chh import ChhParams, ChhSketch, sketch_from_bytes, sketch_to_bytes, solve_params
+import chh.mg
+from chh import ChhParams, ChhSketch, MgSummary, sketch_from_bytes, sketch_to_bytes, solve_params
 from conftest import random_tuple_stream, true_counts
 
 pair = st.tuples(st.binary(max_size=2), st.binary(max_size=2))
@@ -184,6 +185,40 @@ def test_queries_valid_at_any_prefix():
             for p in report.primaries:
                 assert p.est_count >= floor
                 assert p.est_count <= primary[p.key]
+
+
+def test_hit_after_many_unread_rounds_pays_its_debt_in_one_call(monkeypatch):
+    # Two primaries of 2*10^4 tuples over 4 secondaries (5000 each), then 10^4
+    # new primaries, each of which runs one outer round that drops it. The next
+    # hit on b"a" owes 10^4 inner units: all 5000 of s0 and of s1.
+    sketch = ChhSketch(ChhParams.from_raw("0.4", "0.5", 2, 4))
+    for i in range(2 * 10**4):
+        sketch.update(b"a", b"s%d" % (i % 4))
+        sketch.update(b"b", b"s%d" % (i % 4))
+    for i in range(10**4):
+        sketch.update(b"new%d" % i, b"s0")
+    assert sketch.outer_sweeps == 10**4
+
+    calls = {"decrement_least": 0, "decrement_least_key": 0, "heappop": 0}
+
+    def counted(name, function):
+        def wrapper(*args):
+            calls[name] += 1
+            return function(*args)
+        return wrapper
+
+    for name in ("decrement_least", "decrement_least_key"):
+        monkeypatch.setattr(MgSummary, name, counted(name, getattr(MgSummary, name)))
+    monkeypatch.setattr(chh.mg, "heappop", counted("heappop", chh.mg.heappop))
+    sketch.update(b"a", b"s3")
+    monkeypatch.undo()
+
+    assert calls["decrement_least"] == 1
+    assert calls["decrement_least_key"] == 0
+    assert calls["heappop"] <= sketch.params.s2
+    assert sketch.estimate_primary(b"a") == 2 * 10**4 - 10**4 + 1
+    assert [sketch.estimate_pair(b"a", b"s%d" % j) for j in range(4)] == [0, 0, 5000, 5001]
+    assert [sketch.estimate_pair(b"b", b"s%d" % j) for j in range(4)] == [0, 0, 5000, 5000]
 
 
 def churn_shaped_stream():

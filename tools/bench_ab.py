@@ -117,6 +117,10 @@ def main(argv=None) -> int:
         plan = [(name, int(count)) for name, count in (item.split("=") for item in args.pairs.split(","))]
     except ValueError:
         parser.error(f"--pairs takes WORKLOAD=PAIRS,...; got {args.pairs!r}")
+    if any(count < 1 for _, count in plan):
+        parser.error(f"--pairs takes at least one pair per workload; got {args.pairs!r}")
+    if len({name for name, _ in plan}) < len(plan):
+        parser.error(f"--pairs names a workload twice, which would rerun its seeds; got {args.pairs!r}")
     traced = [name for name in args.traced.split(",") if name]
     checkouts = {"parent": args.parent.resolve(), "change": Path(__file__).resolve().parents[1]}
     declared = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
