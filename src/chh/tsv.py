@@ -19,6 +19,9 @@ from .errors import InvalidParameterError, MalformedLineError, UnsupportedSource
 # larger block raises peak memory.
 BLOCK_BYTES = 1 << 16
 
+# Tuples written at a time.
+WRITE_BATCH = 4096
+
 
 class TsvTupleSource:
     """Tuple stream over a tab-separated file, or over stdin when ``path`` is None.
@@ -97,7 +100,7 @@ def write_tuples(path: str | Path, tuples: Iterable[tuple[bytes, bytes]]) -> int
                 )
             batch.append(b"%s\t%s\n" % (x, y))
             count += 1
-            if len(batch) >= 4096:
+            if len(batch) >= WRITE_BATCH:
                 handle.write(b"".join(batch))
                 batch.clear()
         handle.write(b"".join(batch))

@@ -166,3 +166,71 @@ def test_write_rejects_separator_in_fields(tmp_path):
         write_tuples(tmp_path / "bad.tsv", [(b"a\tb", b"c")])
     with pytest.raises(InvalidParameterError):
         write_tuples(tmp_path / "bad.tsv", [(b"a", b"c\n")])
+
+
+def write_by_tuples(path, tuples, batch):
+    """The per-tuple writer the batched one replaced, as a reference.
+
+    It tests each field with ``in`` and writes every ``batch`` lines.
+    """
+    count = 0
+    lines = []
+    with open(path, "wb") as handle:
+        for x, y in tuples:
+            if b"\t" in x or b"\n" in x or b"\r" in x or b"\t" in y or b"\n" in y or b"\r" in y:
+                raise InvalidParameterError(
+                    f"tuple fields may not contain tabs or line breaks: ({x!r}, {y!r})"
+                )
+            lines.append(b"%s\t%s\n" % (x, y))
+            count += 1
+            if len(lines) >= batch:
+                handle.write(b"".join(lines))
+                lines.clear()
+        handle.write(b"".join(lines))
+    return count
+
+
+def write_outcome(writer, path, tuples):
+    """What a writer returns (or the exception it raises) and the bytes it leaves."""
+    try:
+        result = writer(path, iter(tuples))
+    except InvalidParameterError as exc:
+        result = (InvalidParameterError, str(exc))
+    except Exception as exc:
+        result = type(exc)
+    return result, path.read_bytes()
+
+
+clean_bytes = st.binary(max_size=4).filter(lambda b: not {9, 10, 13} & set(b))
+any_bytes = st.one_of(
+    clean_bytes,
+    st.lists(st.sampled_from([b"a", b"\t", b"\n", b"\r"]), min_size=1, max_size=4).map(b"".join),
+)
+clean_item = st.tuples(st.one_of(clean_bytes, clean_bytes.map(bytearray)), clean_bytes)
+any_field = st.one_of(any_bytes, any_bytes.map(bytearray), st.text("a\t", max_size=2))
+any_item = st.one_of(
+    st.tuples(any_field, any_field),
+    st.tuples(any_field, any_field).map(list),
+    st.tuples(any_field, any_field, any_field),
+    st.tuples(any_field),
+)
+# Good tuples, then a few of any kind, then good tuples again, so that a bad
+# tuple usually follows whole batches.
+tuple_streams = st.tuples(
+    st.lists(clean_item, max_size=12), st.lists(any_item, max_size=3), st.lists(clean_item, max_size=6)
+).map(lambda parts: [item for part in parts for item in part])
+
+
+@given(tuple_streams, st.integers(1, 5))
+@example([(b"a", b"b")] * 7 + [(b"a\tb", "y")], 3)  # the bad x is found before the str y
+@example([(b"a", b"b"), ("x", b"c\n")], 1)  # the str x fails before the bad y is seen
+@example([(b"a", b"b"), [b"c", b"d"], (b"e", b"f", b"g")], 2)
+@example([(bytearray(b"a\r"), b"b")], 4)
+def test_batched_writer_matches_per_tuple_writer(tmp_path_factory, tuples, batch):
+    directory = tmp_path_factory.mktemp("write")
+    expected = write_outcome(
+        lambda path, items: write_by_tuples(path, items, batch), directory / "reference.tsv", tuples
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(chh.tsv, "WRITE_BATCH", batch)
+        assert write_outcome(write_tuples, directory / "stream.tsv", tuples) == expected

@@ -1,3 +1,5 @@
+import hashlib
+import math
 import subprocess
 import sys
 from collections import Counter
@@ -102,3 +104,66 @@ def test_invalid_specs_rejected():
 def test_package_and_cli_import_without_numpy():
     code = "import sys, chh, chh.cli; sys.exit('numpy' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
+
+def reference_stream(spec):
+    """The per-tuple generator with its scalar coprime walk, as a reference."""
+    import numpy as np
+
+    mask = 0xFFFFFFFFFFFFFFFF
+    primary_cdf = np.cumsum(zipf_probabilities(spec.primary_domain, spec.primary_skew))
+    secondary_cdf = np.cumsum(zipf_probabilities(spec.secondary_domain, spec.secondary_skew))
+    primary_cdf[-1] = 1.0
+    secondary_cdf[-1] = 1.0
+    m = spec.secondary_domain
+    rng = np.random.default_rng([spec.seed & mask, 0x5EC0])
+    if m == 1:
+        mult = shift = np.zeros(spec.primary_domain, dtype=np.int64)
+    else:
+        mult = rng.integers(1, m, size=spec.primary_domain, dtype=np.int64)
+        shift = rng.integers(0, m, size=spec.primary_domain, dtype=np.int64)
+        for i in range(spec.primary_domain):
+            a = int(mult[i])
+            while math.gcd(a, m) != 1:
+                a = a % m + 1
+            mult[i] = a
+    rng = np.random.default_rng(spec.seed & mask)
+    remaining = spec.tuple_count
+    while remaining > 0:
+        k = min(1 << 16, remaining)
+        remaining -= k
+        x_idx = np.searchsorted(primary_cdf, rng.random(k), side="right")
+        y_rank = np.searchsorted(secondary_cdf, rng.random(k), side="right")
+        y_idx = (mult[x_idx] * y_rank + shift[x_idx]) % m
+        for xi, yi in zip(x_idx.tolist(), y_idx.tolist()):
+            yield str(xi + 1).encode(), str(yi + 1).encode()
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(tuple_count=150_000, primary_domain=500, secondary_domain=40),
+    dict(primary_skew=0.0, secondary_skew=0.0, seed=2**70 + 3),
+    dict(secondary_domain=1),
+    dict(primary_domain=3000, secondary_domain=1000),
+    dict(tuple_count=0),
+    dict(primary_domain=1),
+], ids=["several-chunks", "skew-0", "one-secondary", "many-gcd-walks", "empty", "one-primary"])
+def test_stream_matches_per_tuple_reference(overrides):
+    workload = spec(**overrides)
+    source = generate_zipf(workload)
+    expected = list(reference_stream(workload))
+    assert list(source) == expected
+    assert list(source) == expected
+
+
+# `chh generate --n 70000 --primary-domain 2000 --secondary-domain 360
+# --skew1 1.1 --skew2 0.9 --seed 9`: two chunks, and 360 has the prime
+# factors 2, 3 and 5, so most multipliers take a coprime walk.
+GOLDEN_GENERATE_SHA256 = "ee6e1b453ccfcbdd18eda05a6c6e78ed93ac403ae13b49a44315b0fc095fd31d"
+
+
+def test_generate_output_is_pinned(tmp_path):
+    out = tmp_path / "stream.tsv"
+    argv = ["generate", "--n", "70000", "--primary-domain", "2000", "--secondary-domain", "360",
+            "--skew1", "1.1", "--skew2", "0.9", "--seed", "9", "--out", str(out)]
+    assert subprocess.run([sys.executable, "-m", "chh", *argv]).returncode == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_GENERATE_SHA256
