@@ -108,7 +108,8 @@ def exact_chh_from_counts(
 
 def _heavy_primaries(primary: dict[bytes, int], n: int, phi1: Fraction) -> dict[bytes, int]:
     """The primary rule: the counts of ``primary`` above phi1 * n."""
-    return {d: c for d, c in primary.items() if c > phi1 * n}
+    threshold = phi1 * n
+    return {d: c for d, c in primary.items() if c > threshold}
 
 
 def exact_chh_naive(source: TupleSource, phi1: FractionLike, phi2: FractionLike) -> ExactChh:

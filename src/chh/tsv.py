@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import sys
 from contextlib import nullcontext
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -88,20 +89,44 @@ def write_tuples(path: str | Path, tuples: Iterable[tuple[bytes, bytes]]) -> int
     """Write tuples to ``path`` as tab-separated lines; returns the number written.
 
     Fields must not contain the separator or a line terminator, otherwise
-    the file would not parse back to the same stream.
+    the file would not parse back to the same stream. Tuples are formatted
+    and checked ``WRITE_BATCH`` at a time, and a batch is written only once
+    all of it has passed, so after a rejected tuple the file holds the
+    complete batches before the one that holds it.
     """
     count = 0
-    batch: list[bytes] = []
+    tuples = iter(tuples)
     with open(path, "wb") as handle:
-        for x, y in tuples:
-            if b"\t" in x or b"\n" in x or b"\r" in x or b"\t" in y or b"\n" in y or b"\r" in y:
-                raise InvalidParameterError(
-                    f"tuple fields may not contain tabs or line breaks: ({x!r}, {y!r})"
-                )
-            batch.append(b"%s\t%s\n" % (x, y))
-            count += 1
-            if len(batch) >= WRITE_BATCH:
-                handle.write(b"".join(batch))
-                batch.clear()
-        handle.write(b"".join(batch))
+        while batch := list(islice(tuples, WRITE_BATCH)):
+            try:
+                data = b"".join(map(b"%s\t%s\n".__mod__, batch))
+            except TypeError:  # a list item, the wrong number of fields, a str field
+                data = None
+            if data is None or not _separated(data, len(batch)):
+                data = b"".join(map(_checked_line, batch))
+            handle.write(data)
+            count += len(batch)
     return count
+
+
+def _separated(data: bytes, lines: int) -> bool:
+    """Whether ``data`` holds exactly ``lines`` tabs and newlines and no ``\r``.
+
+    Each formatted line adds one tab and one newline of its own, so this
+    holds exactly when no field holds a separator.
+    """
+    return data.count(b"\t") == lines and data.count(b"\n") == lines and b"\r" not in data
+
+
+def _checked_line(item: tuple[bytes, bytes]) -> bytes:
+    """One tuple's line; raises at a field that holds a separator.
+
+    ``x`` is formatted and checked before ``y`` is formatted, so a bad ``x``
+    is reported even when ``y`` cannot be formatted.
+    """
+    x, y = item
+    if not (_separated(b"%s" % (x,), 0) and _separated(b"%s" % (y,), 0)):
+        raise InvalidParameterError(
+            f"tuple fields may not contain tabs or line breaks: ({x!r}, {y!r})"
+        )
+    return b"%s\t%s\n" % (x, y)

@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import TYPE_CHECKING, Iterator
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, check_positive_int
 
 if TYPE_CHECKING:
     import numpy as np
@@ -38,13 +39,11 @@ class ZipfWorkloadSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.tuple_count < 0:
-            raise InvalidParameterError(f"tuple_count must be >= 0, got {self.tuple_count}")
-        if self.primary_domain < 1 or self.secondary_domain < 1:
-            raise InvalidParameterError(
-                "domains must be >= 1, got "
-                f"{self.primary_domain} x {self.secondary_domain}"
-            )
+        count = self.tuple_count
+        if not isinstance(count, int) or isinstance(count, bool) or count < 0:
+            raise InvalidParameterError(f"tuple_count must be an integer >= 0, got {count!r}")
+        check_positive_int(self.primary_domain, "primary_domain")
+        check_positive_int(self.secondary_domain, "secondary_domain")
         for name in ("primary_skew", "secondary_skew"):
             skew = getattr(self, name)
             if not (math.isfinite(skew) and skew >= 0):
@@ -100,17 +99,19 @@ class ZipfStream:
             return zeros, zeros
         mult = rng.integers(1, m, size=spec.primary_domain, dtype=np.int64)
         shift = rng.integers(0, m, size=spec.primary_domain, dtype=np.int64)
-        for i in range(spec.primary_domain):
-            a = int(mult[i])
-            while math.gcd(a, m) != 1:
-                a = a % m + 1  # walks 1..m cyclically; 1 is always coprime
-            mult[i] = a
+        # Each multiplier not coprime to m walks 1..m cyclically until it is;
+        # 1 always is, so every walk ends.
+        bad = np.gcd(mult, m) != 1
+        while bad.any():
+            mult[bad] = mult[bad] % m + 1
+            bad = np.gcd(mult, m) != 1
         return mult, shift
 
     def __iter__(self) -> Iterator[tuple[bytes, bytes]]:
-        return self._generate()
+        return chain.from_iterable(self._chunks())
 
-    def _generate(self) -> Iterator[tuple[bytes, bytes]]:
+    def _chunks(self) -> Iterator[Iterator[tuple[bytes, bytes]]]:
+        """The tuples of each ``_CHUNK`` draws, labelled by C-level ``zip`` and ``map``."""
         import numpy as np
 
         spec = self.spec
@@ -125,8 +126,10 @@ class ZipfStream:
             x_idx = np.searchsorted(self._primary_cdf, rng.random(k), side="right")
             y_rank = np.searchsorted(self._secondary_cdf, rng.random(k), side="right")
             y_idx = (self._mult[x_idx] * y_rank + self._shift[x_idx]) % m
-            for xi, yi in zip(x_idx.tolist(), y_idx.tolist()):
-                yield xlabels[xi], ylabels[yi]
+            yield zip(
+                map(xlabels.__getitem__, x_idx.tolist()),
+                map(ylabels.__getitem__, y_idx.tolist()),
+            )
 
 
 def generate_zipf(spec: ZipfWorkloadSpec) -> ZipfStream:

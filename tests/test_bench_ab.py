@@ -125,6 +125,7 @@ def test_record_sums_failed_over_both_sides():
     (["--pairs", "zipf=0"], "--pairs takes at least one pair per workload"),
     (["--pairs", "churn=1,zipf=-2"], "--pairs takes at least one pair per workload"),
     (["--pairs", "zipf=3,zipf=2"], "--pairs names a workload twice"),
+    (["--pairs", "churn=1", "--traced", "churn,churn"], "--traced names a workload twice"),
 ])
 def test_bad_workload_plan_exits_two_before_any_run(monkeypatch, tmp_path, capsys, flags, message):
     def no_run(*args):

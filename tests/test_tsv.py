@@ -234,3 +234,28 @@ def test_batched_writer_matches_per_tuple_writer(tmp_path_factory, tuples, batch
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(chh.tsv, "WRITE_BATCH", batch)
         assert write_outcome(write_tuples, directory / "stream.tsv", tuples) == expected
+
+
+class BytesOnly:
+    """A field that converts to bytes but supports no ``in`` test."""
+
+    def __bytes__(self):
+        return b"z"
+
+
+def test_fields_are_checked_as_the_bytes_they_write(tmp_path):
+    # The intended differences from write_by_tuples, whose `in` test compares
+    # the needle against a memoryview's ints and so lets a tab through, and
+    # raises TypeError for a field without `in` support.
+    path = tmp_path / "stream.tsv"
+    assert write_by_tuples(path, [(memoryview(b"a\tb"), b"y")], 4096) == 1
+    assert list(TsvTupleSource(path)) == [(b"a", b"b\ty")]
+    with pytest.raises(InvalidParameterError, match="tabs or line breaks"):
+        write_tuples(path, [(memoryview(b"a\tb"), b"y")])
+    assert write_tuples(path, [(memoryview(b"a"), b"y")]) == 1
+    assert path.read_bytes() == b"a\ty\n"
+
+    with pytest.raises(TypeError):
+        write_by_tuples(path, [(BytesOnly(), b"y")], 4096)
+    assert write_tuples(path, [(BytesOnly(), b"y")]) == 1
+    assert path.read_bytes() == b"z\ty\n"

@@ -99,6 +99,10 @@ def test_invalid_specs_rejected():
         spec(primary_skew=-0.5)
     with pytest.raises(InvalidParameterError):
         spec(secondary_skew=float("inf"))
+    for name in ("tuple_count", "primary_domain", "secondary_domain"):
+        for value in (2.5, 20.0, "20", True):
+            with pytest.raises(InvalidParameterError, match=name):
+                spec(**{name: value})
 
 
 def test_package_and_cli_import_without_numpy():

@@ -122,6 +122,8 @@ def main(argv=None) -> int:
     if len({name for name, _ in plan}) < len(plan):
         parser.error(f"--pairs names a workload twice, which would rerun its seeds; got {args.pairs!r}")
     traced = [name for name in args.traced.split(",") if name]
+    if len(set(traced)) < len(traced):
+        parser.error(f"--traced names a workload twice, which would rerun its traced pair; got {args.traced!r}")
     checkouts = {"parent": args.parent.resolve(), "change": Path(__file__).resolve().parents[1]}
     declared = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
     seconds = declared["run_seconds"]
