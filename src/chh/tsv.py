@@ -110,7 +110,7 @@ def write_tuples(path: str | Path, tuples: Iterable[tuple[bytes, bytes]]) -> int
 
 
 def _separated(data: bytes, lines: int) -> bool:
-    """Whether ``data`` holds exactly ``lines`` tabs and newlines and no ``\r``.
+    """Whether ``data`` holds exactly ``lines`` tabs and newlines and no carriage return.
 
     Each formatted line adds one tab and one newline of its own, so this
     holds exactly when no field holds a separator.

@@ -217,7 +217,9 @@ any_item = st.one_of(
 # Good tuples, then a few of any kind, then good tuples again, so that a bad
 # tuple usually follows whole batches.
 tuple_streams = st.tuples(
-    st.lists(clean_item, max_size=12), st.lists(any_item, max_size=3), st.lists(clean_item, max_size=6)
+    st.lists(clean_item, max_size=12),
+    st.lists(any_item, max_size=3),
+    st.lists(clean_item, max_size=6),
 ).map(lambda parts: [item for part in parts for item in part])
 
 
