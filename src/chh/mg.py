@@ -13,11 +13,10 @@ The shed round is eager: it touches every stored entry, so an update costs
 O(capacity) when it sheds and O(1) otherwise. The nested two-dimensional
 sketch also needs `decrement_least`, which takes units off the smallest
 keys: in one call before a read, it pays the inner units a primary owes for
-the outer rounds run since its last read. The keys sit in a heap, built in
-O(capacity) on the first decrement after a new key enters and popped in
-O(log capacity) per key that leaves, whatever the number of units. The heap
-holds at most ``capacity`` key references and is dropped when a new key
-enters.
+the outer rounds run since its last read. Each such call heapifies the keys
+in O(capacity) and pops O(log capacity) per key that leaves, whatever the
+number of units; the heap lives only for that call, so the summary holds
+nothing but its counts.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ class MgSummary:
             items_seen // (capacity + 1)).
     """
 
-    __slots__ = ("capacity", "items_seen", "sweeps", "_entries", "_heap")
+    __slots__ = ("capacity", "items_seen", "sweeps", "_entries")
 
     def __init__(self, capacity: int):
         check_positive_int(capacity, "capacity")
@@ -45,8 +44,6 @@ class MgSummary:
         self.items_seen = 0
         self.sweeps = 0
         self._entries: dict[bytes, int] = {}
-        # None, or a heap of exactly the retained keys.
-        self._heap: list[bytes] | None = None
 
     @classmethod
     def restore(cls, capacity: int, items_seen: int, counts: dict[bytes, int]) -> MgSummary:
@@ -82,7 +79,6 @@ class MgSummary:
             entries[key] = count + 1
             return
         entries[key] = 1
-        self._heap = None
         if len(entries) > self.capacity:
             self._shed()
 
@@ -125,18 +121,15 @@ class MgSummary:
         least until it leaves, so this is ``units`` one-unit decrements of the
         least key: the nested sketch sheds one inner unit per outer unit, and
         the smallest key keeps runs reproducible where any key would be
-        correct. Not an observed item. The key heap is rebuilt in O(len(self))
-        if a new key entered since the last call, and popped in
-        O(log len(self)) per key that leaves; zero units cost O(1).
+        correct. Not an observed item. A local key heap is built in
+        O(len(self)) and popped in O(log len(self)) per key that leaves; zero
+        units cost O(1), as the save settles every entry, most owing nothing.
         """
         entries = self._entries
-        # The save settles every entry; one that owes nothing must not build a heap.
         if not units or not entries:
             return
-        heap = self._heap
-        if heap is None:
-            heap = self._heap = list(entries)
-            heapify(heap)
+        heap = list(entries)
+        heapify(heap)
         while units and heap:
             key = heap[0]
             count = entries[key]

@@ -132,8 +132,7 @@ def test_decrement_least_key_on_empty_summary_raises_value_error():
     emptied.decrement_least_key()
     emptied.decrement_least_key()
     assert len(emptied) == 0
-    # no key has entered since it was emptied, so these calls find the
-    # emptied heap still in place
+    # a summary emptied by decrements raises on every later call too
     for _ in range(2):
         with pytest.raises(ValueError):
             emptied.decrement_least_key()
@@ -155,8 +154,8 @@ operations = st.lists(
 @settings(max_examples=300)
 @given(st.integers(min_value=1, max_value=6), operations)
 def test_decrements_interleaved_with_updates_match_a_min_model(capacity, steps):
-    # Decrements with no new key since the last one are served from a kept
-    # key heap; the model recomputes min() every time.
+    # Decrements pop keys from a heap built per call; the model recomputes
+    # min() every time.
     summary = MgSummary(capacity)
     model: dict[bytes, int] = {}
     seen = 0
