@@ -46,8 +46,15 @@ class ZipfWorkloadSpec:
         check_positive_int(self.secondary_domain, "secondary_domain")
         for name in ("primary_skew", "secondary_skew"):
             skew = getattr(self, name)
-            if not (math.isfinite(skew) and skew >= 0):
-                raise InvalidParameterError(f"{name} must be a finite value >= 0, got {skew}")
+            if (
+                not isinstance(skew, (int, float))
+                or isinstance(skew, bool)
+                or not (math.isfinite(skew) and skew >= 0)
+            ):
+                raise InvalidParameterError(f"{name} must be a finite value >= 0, got {skew!r}")
+        seed = self.seed
+        if not isinstance(seed, int) or isinstance(seed, bool):
+            raise InvalidParameterError(f"seed must be an integer, got {seed!r}")
 
 
 def zipf_probabilities(domain: int, skew: float) -> np.ndarray:

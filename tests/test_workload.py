@@ -103,6 +103,13 @@ def test_invalid_specs_rejected():
         for value in (2.5, 20.0, "20", True):
             with pytest.raises(InvalidParameterError, match=name):
                 spec(**{name: value})
+    for value in (1.5, "x", True, None):
+        with pytest.raises(InvalidParameterError, match="seed"):
+            spec(seed=value)
+    for name in ("primary_skew", "secondary_skew"):
+        for value in ("1.1", True, None):
+            with pytest.raises(InvalidParameterError, match=name):
+                spec(**{name: value})
 
 
 def test_package_and_cli_import_without_numpy():
