@@ -27,7 +27,7 @@ from .oracle import (
     exact_chh_from_counts,
     require_replayable,
 )
-from .params import ChhParams, FractionLike, _to_threshold, to_thresholds
+from .params import ChhParams, FractionLike, _to_threshold
 from .sketch import ChhSketch
 
 ErrorItem = Union[bytes, tuple[bytes, bytes]]
@@ -149,7 +149,7 @@ def sweep(
     if not s1_values or not s2_values:
         raise InvalidParameterError("s1_values and s2_values must be non-empty")
     configs = [ChhParams.from_raw(phi1, phi2, s1, s2) for s1 in s1_values for s2 in s2_values]
-    phi1, phi2 = to_thresholds(phi1, phi2)
+    phi1, phi2 = configs[0].phi1, configs[0].phi2
     sketches = [ChhSketch(params) for params in configs]
     updates = [sketch.update for sketch in sketches]
     candidates = _candidate_summary(phi1) if oracle is None else None
