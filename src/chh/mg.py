@@ -122,8 +122,8 @@ class MgSummary:
         least key: the nested sketch sheds one inner unit per outer unit, and
         the smallest key keeps runs reproducible where any key would be
         correct. Not an observed item. A local key heap is built in
-        O(len(self)) and popped in O(log len(self)) per key that leaves; zero
-        units cost O(1), as the save settles every entry, most owing nothing.
+        O(len(self)) and popped in O(log len(self)) per key that leaves. Zero
+        units cost O(1): a save settles every entry, and most owe nothing.
         """
         entries = self._entries
         if not units or not entries:
