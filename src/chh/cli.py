@@ -3,7 +3,7 @@
 Subcommands: solve-params, generate, build, report, exact, evaluate. Output
 is deterministic byte for byte: identical inputs and flags always produce
 identical bytes, including iteration order. Exit codes: 0 success, 1 usage
-error, 2 data error, 3 resource limit.
+error, 2 data error.
 """
 
 from __future__ import annotations
@@ -16,12 +16,11 @@ from .errors import (
     InconsistentInputError,
     InvalidParameterError,
     MalformedLineError,
-    ResourceLimitError,
     SnapshotFormatError,
     UnsupportedSourceError,
 )
 from .evaluate import sweep, write_sweep_csv
-from .oracle import exact_chh_multipass, exact_chh_naive
+from .oracle import exact_chh_multipass
 from .params import ChhParams, solve_params, to_fraction
 from .sketch import ChhReport, ChhSketch
 from .snapshot import load_sketch, save_sketch
@@ -31,7 +30,6 @@ from .workload import ZipfWorkloadSpec, generate_zipf
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
-EXIT_RESOURCE = 3
 
 
 class _Parser(argparse.ArgumentParser):
@@ -82,7 +80,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--phi1", required=True)
     p.add_argument("--phi2", required=True)
-    p.add_argument("--method", choices=("multipass", "naive"), default="multipass")
     p.add_argument("--format", choices=("text", "csv"), default="text")
     p.set_defaults(func=_cmd_exact)
 
@@ -198,10 +195,7 @@ def _cmd_report(args) -> int:
 
 def _cmd_exact(args) -> int:
     source = TsvTupleSource(args.input)
-    if args.method == "naive":
-        result = exact_chh_naive(source, args.phi1, args.phi2)
-    else:
-        result = exact_chh_multipass(source, args.phi1, args.phi2)
+    result = exact_chh_multipass(source, args.phi1, args.phi2)
     _warn_skipped(source)
     out = sys.stdout.buffer
     if args.format == "csv":
@@ -256,6 +250,3 @@ def main(argv: Sequence[str] | None = None) -> int:
     ) as exc:
         print(f"chh: error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except ResourceLimitError as exc:
-        print(f"chh: error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE

@@ -1,8 +1,8 @@
 """Exception types shared across the package, plus its positive-integer check.
 
-The CLI maps these onto exit codes: parameter problems are usage errors,
-malformed input and inconsistent artifacts are data errors, and blown
-resource caps get their own code so batch drivers can tell them apart.
+The CLI maps these onto exit codes: parameter problems are usage errors, and
+malformed input and inconsistent artifacts are data errors. `ResourceLimitError`
+is a library error only: it comes from the capped naive count, which no command runs.
 """
 
 

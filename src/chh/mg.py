@@ -32,8 +32,8 @@ class MgSummary:
     Attributes:
         capacity: maximum number of retained (key, count) entries.
         items_seen: number of update() calls applied.
-        sweeps: number of shed rounds run (diagnostic; at most
-            items_seen // (capacity + 1)).
+        sweeps: number of shed rounds run (at most items_seen // (capacity + 1));
+            only ``perfbench``'s ``MgProbe`` reads it, for ``mg.inner_sweeps``.
     """
 
     __slots__ = ("capacity", "items_seen", "sweeps", "_entries")
@@ -108,7 +108,7 @@ class MgSummary:
         return sum(self._entries.values())
 
     def decrement_least_key(self) -> None:
-        """`decrement_least` of one unit; raises ``ValueError`` on an empty summary."""
+        """`decrement_least(1)`, ``ValueError`` if empty; kept for ``perfbench``'s ``MgProbe``."""
         if not self._entries:
             raise ValueError("decrement_least_key() on an empty summary")
         self.decrement_least(1)

@@ -171,12 +171,14 @@ def _exact_from_candidates(
 
     # A summary that never shed holds the exact count of every secondary it
     # saw; only the pairs of a heavy candidate whose summary shed need pass 3.
+    # It only ever gets `update` calls, so it shed iff its counts sum below f_d.
     pair_counts = {
         (d, skey): count
         for d in heavy
         for skey, count in secondary_candidates[d].entries()
     }
-    recount = {key: 0 for key in pair_counts if secondary_candidates[key[0]].sweeps}
+    shed = {d for d, f_d in heavy.items() if secondary_candidates[d].total() != f_d}
+    recount = {key: 0 for key in pair_counts if key[0] in shed}
     if recount:
         for x, y in source:
             key = (x, y)

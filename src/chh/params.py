@@ -105,8 +105,17 @@ class ChhParams:
     s2: int
 
     def __post_init__(self):
+        parts = [self.s1, self.s2]
         for field in ("phi1", "phi2", "eps1", "eps2"):
-            object.__setattr__(self, field, to_fraction(getattr(self, field), field))
+            value = to_fraction(getattr(self, field), field)
+            object.__setattr__(self, field, value)
+            parts += value.as_integer_ratio()
+        # Checked first: later messages and the snapshot print these integers.
+        limit = sys.get_int_max_str_digits()
+        if limit and any(isinstance(v, int) and abs(v) >= 10**limit for v in parts):
+            raise InvalidParameterError(
+                f"s1, s2 and the terms of phi1, phi2, eps1, eps2 need at most {limit} digits"
+            )
         to_thresholds(self.phi1, self.phi2)
         _check_eps1(self.eps1, self.phi1)
         if self.eps2 <= 0:
@@ -208,10 +217,4 @@ def solve_params(
     else:
         s1 = math.ceil(1 / eps1)
         s2 = math.ceil(1 / (eps2 - alpha * eps1))
-    limit = sys.get_int_max_str_digits()
-    if limit and max(s1, s2) >= 10**limit:
-        raise InvalidParameterError(
-            f"solved table sizes have more than {limit} decimal digits; "
-            "raise eps1 or eps2"
-        )
     return ChhParams(phi1, phi2, eps1, eps2, s1, s2)

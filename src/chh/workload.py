@@ -14,7 +14,7 @@ loading it.
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass
 from itertools import chain
 from typing import TYPE_CHECKING, Iterator
@@ -49,7 +49,7 @@ class ZipfWorkloadSpec:
             if (
                 not isinstance(skew, (int, float))
                 or isinstance(skew, bool)
-                or not (math.isfinite(skew) and skew >= 0)
+                or not 0 <= skew <= sys.float_info.max  # NaN and huge ints fail too
             ):
                 raise InvalidParameterError(f"{name} must be a finite value >= 0, got {skew!r}")
         seed = self.seed

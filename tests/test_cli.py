@@ -4,8 +4,7 @@ import sys
 
 import pytest
 
-import chh.cli
-from chh import ChhParams, ChhSketch, ResourceLimitError, TsvTupleSource, sketch_to_bytes
+from chh import ChhParams, ChhSketch, TsvTupleSource, sketch_to_bytes
 from chh.cli import _format_report_text, main
 
 
@@ -81,24 +80,20 @@ def test_build_solver_mode_with_default_tolerances(tmp_path):
 def test_exact_output(tmp_path):
     stream = tmp_path / "stream.tsv"
     write_stream(stream, [(b"a", b"b")] * 3 + [(b"c", b"d")])
-    for method in ("multipass", "naive"):
-        result = run_cli("exact", "--in", str(stream), "--phi1", "0.5",
-                         "--phi2", "0.5", "--method", method)
-        assert result.returncode == 0
-        assert result.stdout == b"(a,b) 3\n"
+    result = run_cli("exact", "--in", str(stream), "--phi1", "0.5", "--phi2", "0.5")
+    assert result.returncode == 0
+    assert result.stdout == b"(a,b) 3\n"
 
 
 def test_exact_csv_format_keeps_keys_with_commas_apart(tmp_path):
     stream = tmp_path / "stream.tsv"
     write_stream(stream, [(b"a,b", b"c"), (b"a", b"b,c")] * 2)
-    for method in ("multipass", "naive"):
-        args = ("exact", "--in", str(stream), "--phi1", "0.4", "--phi2", "0.5",
-                "--method", method)
-        # The text form prints both pairs the same way; CSV quotes the commas.
-        assert run_cli(*args).stdout == b"(a,b,c) 2\n" * 2
-        result = run_cli(*args, "--format", "csv")
-        assert result.returncode == 0
-        assert result.stdout == b'd,s,count\na,"b,c",2\n"a,b",c,2\n'
+    args = ("exact", "--in", str(stream), "--phi1", "0.4", "--phi2", "0.5")
+    # The text form prints both pairs the same way; CSV quotes the commas.
+    assert run_cli(*args).stdout == b"(a,b,c) 2\n" * 2
+    result = run_cli(*args, "--format", "csv")
+    assert result.returncode == 0
+    assert result.stdout == b'd,s,count\na,"b,c",2\n"a,b",c,2\n'
 
 
 def test_evaluate_writes_csv(tmp_path):
@@ -130,6 +125,13 @@ def test_usage_errors_exit_one():
     huge = ["--phi1", "0.1", "--phi2", "0.1", "--eps1", "0.05", "--eps2", "1e-4299"]
     assert main(["solve-params", *huge]) == 1
     assert main(["build", *huge, "--out", "unused.snap"]) == 1
+    # raw sizes under the digit limit whose implied eps2 is over it
+    assert main(["build", "--in", "unused.tsv", "--phi1", "0.1", "--phi2", "0.1",
+                 "--s1", str(10**3000 + 7), "--s2", str(10**2000 + 3),
+                 "--out", "unused.snap"]) == 1
+    # exact takes no --method flag
+    assert main(["exact", "--in", "unused.tsv", "--phi1", "0.5", "--phi2", "0.5",
+                 "--method", "naive"]) == 1
     # size lists are parsed before the (absent) input is opened
     for sizes in ("1000,,2000", "1000,"):
         assert main(["evaluate", "--in", "unused.tsv", "--phi1", "0.1", "--phi2", "0.1",
@@ -158,23 +160,6 @@ def test_corrupt_snapshot_exits_two(tmp_path):
     for blob in (b"not a snapshot\n", out_of_range):
         bad.write_bytes(blob)
         assert main(["report", "--sketch", str(bad)]) == 2
-
-
-def test_resource_limit_exits_three(tmp_path, monkeypatch):
-    stream = tmp_path / "stream.tsv"
-    write_stream(stream, [(b"a", b"b")])
-
-    def blow_up(*args, **kwargs):
-        raise ResourceLimitError("cap exceeded")
-
-    monkeypatch.setattr(chh.cli, "exact_chh_naive", blow_up)
-    assert main(["exact", "--in", str(stream), "--phi1", "0.5",
-                 "--phi2", "0.5", "--method", "naive"]) == 3
-    monkeypatch.undo()
-    write_stream(stream, [(b"a", b"b")] * 3)
-    monkeypatch.setattr("chh.oracle.DEFAULT_TUPLE_CAP", 2)
-    assert main(["exact", "--in", str(stream), "--phi1", "0.5",
-                 "--phi2", "0.5", "--method", "naive"]) == 3
 
 
 def test_cli_report_matches_in_memory_build(tmp_path):
@@ -308,10 +293,8 @@ def test_golden_outputs_on_quirky_lines(tmp_path):
     for fmt, expected in (("text", GOLDEN_REPORT_TEXT), ("csv", GOLDEN_REPORT_CSV)):
         report = run_cli("report", "--sketch", str(from_file), "--format", fmt)
         assert (report.returncode, report.stdout, report.stderr) == (0, expected, b"")
-    for method in ("multipass", "naive"):
-        exact = run_cli("exact", "--in", str(stream), "--phi1", "0.1", "--phi2", "0.2",
-                        "--method", method)
-        assert (exact.returncode, exact.stdout, exact.stderr) == (0, GOLDEN_EXACT, SKIP_WARNING)
+    exact = run_cli("exact", "--in", str(stream), "--phi1", "0.1", "--phi2", "0.2")
+    assert (exact.returncode, exact.stdout, exact.stderr) == (0, GOLDEN_EXACT, SKIP_WARNING)
     out = tmp_path / "sweep.csv"
     evaluated = run_cli("evaluate", "--in", str(stream), "--phi1", "0.1", "--phi2", "0.2",
                         "--s1-list", "4,8", "--s2-list", "2,3", "--out", str(out))

@@ -151,6 +151,9 @@ def test_from_raw_rejects_bad_sizes():
         ChhParams.from_raw("0.1", "0.1", 0, 10)
     with pytest.raises(InvalidParameterError):
         ChhParams.from_raw("0.1", "0.1", 10, -1)
+    # Both sizes fit the interpreter's digit limit, but the implied eps2 does not.
+    with pytest.raises(InvalidParameterError, match="digits"):
+        ChhParams.from_raw("0.1", "0.1", 10**3000 + 7, 10**2000 + 3)
 
 
 def test_direct_construction_validates_ranges():

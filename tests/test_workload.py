@@ -99,6 +99,8 @@ def test_invalid_specs_rejected():
         spec(primary_skew=-0.5)
     with pytest.raises(InvalidParameterError):
         spec(secondary_skew=float("inf"))
+    with pytest.raises(InvalidParameterError, match="primary_skew"):
+        spec(primary_skew=10**400)  # an int past the float range
     for name in ("tuple_count", "primary_domain", "secondary_domain"):
         for value in (2.5, 20.0, "20", True):
             with pytest.raises(InvalidParameterError, match=name):
