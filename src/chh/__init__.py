@@ -13,7 +13,6 @@ from .errors import (
     InconsistentInputError,
     InvalidParameterError,
     MalformedLineError,
-    ResourceLimitError,
     SnapshotFormatError,
     UnsupportedSourceError,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "MgSummary",
     "PrimaryEntry",
     "ReportedPrimary",
-    "ResourceLimitError",
     "SnapshotFormatError",
     "SweepRow",
     "TsvTupleSource",

@@ -113,7 +113,9 @@ def _cmd_generate(args) -> int:
     try:
         stream = generate_zipf(spec)
     except ImportError as exc:
-        raise InvalidParameterError(f"generate needs numpy: {exc}") from exc
+        raise InvalidParameterError(
+            f"generate needs numpy (pip install 'chh[generate]'): {exc}"
+        ) from exc
     write_tuples(args.out, stream)
     return EXIT_OK
 

@@ -1,9 +1,10 @@
 """Exception types shared across the package, plus its positive-integer check.
 
 The CLI maps these onto exit codes: parameter problems are usage errors, and
-malformed input and inconsistent artifacts are data errors. `ResourceLimitError`
-is a library error only: it comes from the capped naive count, which no command runs.
+malformed input and inconsistent artifacts are data errors.
 """
+
+import sys
 
 
 class ChhError(Exception):
@@ -26,10 +27,6 @@ class UnsupportedSourceError(ChhError, TypeError):
     """A stream source cannot be replayed but the operation needs multiple passes."""
 
 
-class ResourceLimitError(ChhError, RuntimeError):
-    """An operation exceeded its configured tuple or memory cap."""
-
-
 class InconsistentInputError(ChhError, ValueError):
     """Two artifacts that must describe the same stream do not agree."""
 
@@ -38,7 +35,16 @@ class SnapshotFormatError(ChhError, ValueError):
     """A sketch snapshot is truncated, corrupt, or of an unknown version."""
 
 
+def _shown(value: object, spell=repr) -> str:
+    """``spell(value)`` for a message, or a description if it has more digits than may print."""
+    try:
+        return spell(value)
+    except ValueError:
+        kind = "an integer" if getattr(value, "denominator", 1) == 1 else "a ratio with a term"
+        return f"{kind} of more than {sys.get_int_max_str_digits()} digits"
+
+
 def check_positive_int(value: int, name: str) -> None:
     """Reject anything but a positive ``int`` (``bool`` included) for ``name``."""
     if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise InvalidParameterError(f"{name} must be a positive integer, got {value!r}")
+        raise InvalidParameterError(f"{name} must be a positive integer, got {_shown(value)}")

@@ -16,13 +16,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import ResourceLimitError, UnsupportedSourceError
+from .errors import UnsupportedSourceError
 from .mg import MgSummary
 from .params import FractionLike, to_thresholds
 
 TupleSource = Iterable[tuple[bytes, bytes]]
-
-DEFAULT_TUPLE_CAP = 100_000_000
 
 
 @dataclass
@@ -53,11 +51,6 @@ class ExactChh:
     pairs: dict[tuple[bytes, bytes], int]
     counts: ExactCounts
 
-    @property
-    def n(self) -> int:
-        """Stream length, taken from the exact counts."""
-        return self.counts.n
-
     def sorted_pairs(self) -> list[tuple[bytes, bytes, int]]:
         return [(d, s, c) for (d, s), c in sorted(self.pairs.items())]
 
@@ -72,20 +65,15 @@ def require_replayable(source: TupleSource) -> None:
 
 
 def exact_counts_naive(source: TupleSource) -> ExactCounts:
-    """Count every distinct primary value and every distinct pair in memory.
+    """Count every primary value and every pair of ``source`` in memory.
 
-    Only viable at desk scale: a stream of more than ``DEFAULT_TUPLE_CAP``
-    tuples should go to the sketch instead and raises `ResourceLimitError`.
+    Memory holds one count per distinct primary and one per distinct pair.
     """
     primary: dict[bytes, int] = {}
     pairs: dict[tuple[bytes, bytes], int] = {}
     n = 0
     for x, y in source:
         n += 1
-        if n > DEFAULT_TUPLE_CAP:
-            raise ResourceLimitError(
-                f"stream exceeds the naive counting cap of {DEFAULT_TUPLE_CAP} tuples"
-            )
         primary[x] = primary.get(x, 0) + 1
         key = (x, y)
         pairs[key] = pairs.get(key, 0) + 1

@@ -14,7 +14,7 @@ from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from typing import Literal, Union
 
-from .errors import InvalidParameterError, check_positive_int
+from .errors import InvalidParameterError, _shown, check_positive_int
 
 FractionLike = Union[Fraction, int, float, str]
 
@@ -60,7 +60,7 @@ def _to_threshold(value: FractionLike, name: str) -> Fraction:
     """Convert one heavy-hitter fraction and check that it lies in (0, 1)."""
     value = to_fraction(value, name)
     if not 0 < value < 1:
-        raise InvalidParameterError(f"{name} must lie in (0, 1), got {value}")
+        raise InvalidParameterError(f"{name} must lie in (0, 1), got {_shown(value, str)}")
     return value
 
 
@@ -72,7 +72,8 @@ def to_thresholds(phi1: FractionLike, phi2: FractionLike) -> tuple[Fraction, Fra
 def _check_eps1(eps1: Fraction, phi1: Fraction) -> None:
     if not 0 < eps1 <= phi1 / 2:
         raise InvalidParameterError(
-            f"eps1 must satisfy 0 < eps1 <= phi1/2 = {phi1 / 2}, got {eps1}"
+            f"eps1 must satisfy 0 < eps1 <= phi1/2 = {_shown(phi1 / 2, str)}, "
+            f"got {_shown(eps1, str)}"
         )
 
 
@@ -207,7 +208,8 @@ def solve_params(
     _check_eps1(eps1, phi1)
     if not 0 < eps2 <= phi2:
         raise InvalidParameterError(
-            f"eps2 must satisfy 0 < eps2 <= phi2 = {phi2}, got {eps2}"
+            f"eps2 must satisfy 0 < eps2 <= phi2 = {_shown(phi2, str)}, "
+            f"got {_shown(eps2, str)}"
         )
 
     alpha = _coupling(phi1, phi2, eps1)

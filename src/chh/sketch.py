@@ -41,7 +41,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from math import ceil
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import SnapshotFormatError
 from .mg import MgSummary
@@ -101,12 +101,6 @@ class ChhReport:
 
     n: int
     primaries: tuple[ReportedPrimary, ...]
-
-    def pairs(self) -> Iterator[tuple[bytes, bytes, int]]:
-        """Flatten to (primary, secondary, estimated pair count) rows."""
-        for primary in self.primaries:
-            for key, est in primary.secondaries:
-                yield primary.key, key, est
 
 
 class ChhSketch:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import TYPE_CHECKING, Iterator
 
-from .errors import InvalidParameterError, check_positive_int
+from .errors import InvalidParameterError, _shown, check_positive_int
 
 if TYPE_CHECKING:
     import numpy as np
@@ -41,7 +41,9 @@ class ZipfWorkloadSpec:
     def __post_init__(self):
         count = self.tuple_count
         if not isinstance(count, int) or isinstance(count, bool) or count < 0:
-            raise InvalidParameterError(f"tuple_count must be an integer >= 0, got {count!r}")
+            raise InvalidParameterError(
+                f"tuple_count must be an integer >= 0, got {_shown(count)}"
+            )
         check_positive_int(self.primary_domain, "primary_domain")
         check_positive_int(self.secondary_domain, "secondary_domain")
         for name in ("primary_skew", "secondary_skew"):
@@ -51,7 +53,9 @@ class ZipfWorkloadSpec:
                 or isinstance(skew, bool)
                 or not 0 <= skew <= sys.float_info.max  # NaN and huge ints fail too
             ):
-                raise InvalidParameterError(f"{name} must be a finite value >= 0, got {skew!r}")
+                raise InvalidParameterError(
+                    f"{name} must be a finite value >= 0, got {_shown(skew)}"
+                )
         seed = self.seed
         if not isinstance(seed, int) or isinstance(seed, bool):
             raise InvalidParameterError(f"seed must be an integer, got {seed!r}")

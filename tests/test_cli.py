@@ -316,5 +316,6 @@ def test_generate_without_numpy_is_a_usage_error(tmp_path):
     )
     assert result.returncode == 1
     assert b"chh: error:" in result.stderr and b"numpy" in result.stderr
+    assert b"pip install 'chh[generate]'" in result.stderr
     assert b"Traceback" not in result.stderr
     assert not out.exists()

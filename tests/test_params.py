@@ -8,8 +8,11 @@ from hypothesis import strategies as st
 from chh import (
     ChhParams,
     InvalidParameterError,
+    MgSummary,
+    ZipfWorkloadSpec,
     secondary_theoretical_max,
     solve_params,
+    sweep,
     to_fraction,
 )
 
@@ -154,6 +157,32 @@ def test_from_raw_rejects_bad_sizes():
     # Both sizes fit the interpreter's digit limit, but the implied eps2 does not.
     with pytest.raises(InvalidParameterError, match="digits"):
         ChhParams.from_raw("0.1", "0.1", 10**3000 + 7, 10**2000 + 3)
+
+
+HUGE = 10**5000  # past the interpreter's default int-to-str digit limit
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: ChhParams.from_raw("0.1", "0.1", -HUGE, 5),
+        lambda: ChhParams.from_raw(HUGE, "0.1", 5, 5),
+        lambda: ZipfWorkloadSpec(10, 5, 5, primary_skew=HUGE),
+        lambda: ZipfWorkloadSpec(-HUGE, 5, 5),
+        lambda: ZipfWorkloadSpec(10, -HUGE, 5),
+        lambda: solve_params("0.1", "0.1", HUGE, "0.05"),
+        lambda: solve_params("0.1", "0.1", "0.05", HUGE),
+        lambda: solve_params("0.1", "0.1", "0.05", -HUGE),
+        lambda: MgSummary(-HUGE),
+        lambda: sweep([(b"a", b"b")], "0.1", "0.1", [-HUGE], [2]),
+        lambda: solve_params(Fraction(HUGE, 3), "0.1", "0.05", "0.1"),
+    ],
+    ids=["s1", "phi1", "skew", "tuple_count", "domain", "eps1", "eps2", "negative_eps2",
+         "capacity", "sweep_s1", "ratio_phi1"],
+)
+def test_values_too_long_to_print_are_still_parameter_errors(call):
+    with pytest.raises(InvalidParameterError, match=r"of more than \d+ digits"):
+        call()
 
 
 def test_direct_construction_validates_ranges():

@@ -26,7 +26,7 @@ def test_fresh_sketch_reports_nothing():
     assert sketch.n == 0
     report = sketch.report()
     assert report.primaries == ()
-    assert list(report.pairs()) == []
+    assert [(p.key, s, c) for p in report.primaries for s, c in p.secondaries] == []
 
 
 def test_single_tuple():
@@ -80,7 +80,9 @@ def test_report_thresholds_exact_case():
     sketch = run_sketch(ChhParams.from_raw("0.5", "0.5", 4, 4), [(b"a", b"b")] * 10)
     report = sketch.report()
     assert [(p.key, p.est_count) for p in report.primaries] == [(b"a", 10)]
-    assert list(report.pairs()) == [(b"a", b"b", 10)]
+    assert [(p.key, s, c) for p in report.primaries for s, c in p.secondaries] == [
+        (b"a", b"b", 10)
+    ]
 
 
 def test_report_keeps_tolerated_false_positives():

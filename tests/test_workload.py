@@ -3,6 +3,7 @@ import math
 import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -117,6 +118,14 @@ def test_invalid_specs_rejected():
 def test_package_and_cli_import_without_numpy():
     code = "import sys, chh, chh.cli; sys.exit('numpy' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
+
+def test_numpy_is_only_in_the_generate_extra():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]
+    assert not [dep for dep in project["dependencies"] if dep.startswith("numpy")]
+    assert [dep for dep in project["optional-dependencies"]["generate"] if dep.startswith("numpy")]
 
 
 def reference_stream(spec):
