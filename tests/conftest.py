@@ -1,3 +1,4 @@
+import io
 import random
 from collections import Counter
 
@@ -32,6 +33,28 @@ def random_tuple_stream(seed, length, primaries, secondaries):
         )
         for _ in range(length)
     ]
+
+
+def read_by_lines(data, strict):
+    """The line-iteration reader the block reader replaced, as a reference.
+
+    Returns the tuples, the skipped-line count and, in strict mode, the
+    number of the first malformed line (None when there is none).
+    """
+    tuples, skipped = [], 0
+    for number, line in enumerate(io.BytesIO(data), 1):
+        if line[-1:] == b"\n":
+            line = line[:-2] if line[-2:-1] == b"\r" else line[:-1]
+        x, tab, y = line.partition(b"\t")
+        if tab:
+            tuples.append((x, y))
+        elif strict:
+            return tuples, skipped, number
+        else:
+            skipped += 1
+    return tuples, skipped, None
+
+
 
 
 class CountingSource:

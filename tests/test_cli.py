@@ -4,8 +4,9 @@ import sys
 
 import pytest
 
-from chh import ChhParams, ChhSketch, TsvTupleSource, sketch_to_bytes
+from chh import ChhParams, ChhSketch, TsvTupleSource, exact_chh_naive, sketch_to_bytes
 from chh.cli import _format_report_text, main
+from conftest import read_by_lines
 
 
 def run_cli(*argv, stdin: bytes = b""):
@@ -300,6 +301,50 @@ def test_golden_outputs_on_quirky_lines(tmp_path):
                         "--s1-list", "4,8", "--s2-list", "2,3", "--out", str(out))
     assert (evaluated.returncode, evaluated.stderr) == (0, SKIP_WARNING)
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SWEEP_SHA256
+
+
+def wide_tsv() -> bytes:
+    """More than three 64 KiB blocks of clean lines, with the quirks set among them.
+
+    The first block ends between the ``\\r`` and ``\\n`` of a CRLF line; the
+    second holds the one tab-less line; the third holds a run of CRLF lines and
+    the one line with a tab in ``y``; the stream ends with no ``\\n``.
+    """
+    def clean(start, stop):
+        return b"".join(b"p%d\ts%d\n" % (i % 13, i % 7) for i in range(start, stop))
+
+    head = clean(0, 7000)
+    head += b"p5\t" + b"z" * (65536 - len(head) - len(b"p5\t\np1\ts1\r")) + b"\n"
+    head += b"p1\ts1\r\n"
+    assert len(head) == 65537 and head[65535:65537] == b"\r\n"
+    return b"".join([
+        head, clean(0, 5000), b"no separator\n", clean(5000, 13000),
+        b"p2\ts2\r\n" * 50, b"p3\tx\ty\n", clean(13000, 30000), b"p4\ts4",
+    ])
+
+
+def test_block_boundaries_give_the_line_reader_outputs(tmp_path):
+    stream = tmp_path / "wide.tsv"
+    stream.write_bytes(wide_tsv())
+    assert stream.stat().st_size > 3 * 65536
+    tuples, skipped, _ = read_by_lines(stream.read_bytes(), strict=False)
+    assert skipped == 1
+    warning = b"warning: skipped 1 malformed line(s)\n"
+
+    exact = run_cli("exact", "--in", str(stream), "--phi1", "0.01", "--phi2", "0.1")
+    expected = exact_chh_naive(tuples, "0.01", "0.1").sorted_pairs()
+    assert expected
+    assert exact.stdout == b"".join(b"(%s,%s) %d\n" % pair for pair in expected)
+    assert (exact.returncode, exact.stderr) == (0, warning)
+
+    snap = tmp_path / "wide.snap"
+    built = run_cli("build", "--in", str(stream), "--phi1", "0.01", "--phi2", "0.1",
+                    "--s1", "8", "--s2", "4", "--out", str(snap))
+    assert built.returncode == 0
+    assert built.stderr.startswith(warning)
+    sketch = ChhSketch(ChhParams.from_raw("0.01", "0.1", 8, 4))
+    sketch.consume(tuples)
+    assert snap.read_bytes() == sketch_to_bytes(sketch)
 
 
 def test_generate_without_numpy_is_a_usage_error(tmp_path):

@@ -2,7 +2,7 @@ import io
 import sys
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import chh.tsv
@@ -14,6 +14,7 @@ from chh import (
     exact_chh_multipass,
     write_tuples,
 )
+from conftest import read_by_lines
 
 
 GOOD_PREFIX = b"k\tv\n" * 16  # so the line under test is line 17
@@ -105,26 +106,6 @@ def test_write_then_read_returns_any_separator_free_stream(tmp_path_factory, tup
     assert source.skipped_lines == 0
 
 
-def read_by_lines(data, strict):
-    """The line-iteration reader the block reader replaced, as a reference.
-
-    Returns the tuples, the skipped-line count and, in strict mode, the
-    number of the first malformed line (None when there is none).
-    """
-    tuples, skipped = [], 0
-    for number, line in enumerate(io.BytesIO(data), 1):
-        if line[-1:] == b"\n":
-            line = line[:-2] if line[-2:-1] == b"\r" else line[:-1]
-        x, tab, y = line.partition(b"\t")
-        if tab:
-            tuples.append((x, y))
-        elif strict:
-            return tuples, skipped, number
-        else:
-            skipped += 1
-    return tuples, skipped, None
-
-
 def read_by_blocks(data, strict, block_bytes, path):
     """Read ``data`` with `TsvTupleSource` from a file, or from stdin when ``path`` is None."""
     with pytest.MonkeyPatch.context() as patch:
@@ -143,9 +124,28 @@ def read_by_blocks(data, strict, block_bytes, path):
         return tuples, source.skipped_lines, None
 
 
+def tsv_line(tabs):
+    """Lines of ``tabs`` tabs between fields that may be empty or hold a ``\r``."""
+    cell = st.lists(st.sampled_from([b"a", b"b", b"\r"]), max_size=3).map(b"".join)
+    return st.lists(cell, min_size=tabs + 1, max_size=tabs + 1).map(b"\t".join)
+
+
+# Mostly one-tab lines, so that whole blocks of them sit next to blocks that
+# hold a line with no tab or with two.
+any_tsv_line = st.sampled_from([1] * 8 + [0, 2]).flatmap(tsv_line)
+tsv_streams = st.tuples(
+    st.lists(st.tuples(any_tsv_line, st.sampled_from([b"\n", b"\n", b"\r\n"])), max_size=60),
+    st.one_of(st.just(b""), any_tsv_line),  # a final line with no "\n", or none
+).map(lambda parts: b"".join(line + end for line, end in parts[0]) + parts[1])
+
+
+@settings(max_examples=300)
 @given(
-    st.lists(st.sampled_from([b"a", b"\t", b"\r", b"\n"]), max_size=40).map(b"".join),
-    st.integers(1, 8),
+    st.one_of(
+        st.lists(st.sampled_from([b"a", b"\t", b"\r", b"\n"]), max_size=40).map(b"".join),
+        tsv_streams,
+    ),
+    st.one_of(st.integers(1, 8), st.integers(1, 64), st.just(65536)),
 )
 @example(b"", 1)
 @example(b"\n", 1)
@@ -153,6 +153,9 @@ def read_by_blocks(data, strict, block_bytes, path):
 @example(b"a\tb\r\na\tb\r\n", 4)  # "\r" ends the first block, "\n" starts the next
 @example(b"a\r\r\n\tb\r", 3)  # "\r\r" across a block, then a final line ending in "\r"
 @example(b"a\tb\r", 8)  # the final line, with no "\n", keeps its "\r"
+@example(b"a\tb\n" * 4 + b"c\td\te\n" + b"a\tb\n", 16)  # a clean block, then two tabs
+@example(b"a\tb\n" * 4 + b"none\n" + b"a\tb\n", 16)  # a clean block; strict stops at line 5
+@example(b"a\tb\r\n" * 6, 9)  # a block of clean lines ends in "\r", the next starts with "\n"
 def test_block_reader_matches_line_iteration(tmp_path_factory, data, block_bytes):
     path = tmp_path_factory.mktemp("blocks") / "stream.tsv"
     for strict in (False, True):
