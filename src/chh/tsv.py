@@ -4,21 +4,33 @@ Fields are opaque bytes. A line splits on its first tab: ``x`` is what comes
 before it, ``y`` everything after, further tabs included. Only a trailing
 ``\n`` or ``\r\n`` is stripped; a lone ``\r`` anywhere else is data, and
 either field may be empty. A line without a tab is malformed.
+
+Input is read in blocks, and the work per line is done in C where it can
+be. A block whose complete lines each hold exactly one tab is clean: one
+``translate`` and ``count`` check that, and its tabs and newlines then split
+it into one list of fields, paired by ``zip``. Any other block, and a final
+line with no ``\n``, goes through a per-line loop in Python, which keeps the
+first-tab rule, skips or raises at a malformed line, and numbers the lines.
 """
 
 from __future__ import annotations
 
 import sys
 from contextlib import nullcontext
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable, Iterator
 
 from .errors import InvalidParameterError, MalformedLineError, UnsupportedSourceError
 
-# Bytes read at a time. Each block's lines are split into one list, so a
-# larger block raises peak memory.
+# Bytes read at a time. A clean block is split into one list of two fields
+# per line, any other block into one list of lines, so a larger block raises
+# peak memory.
 BLOCK_BYTES = 1 << 16
+
+# Every byte but the tab and the newline; deleting them leaves a clean
+# block's separators, b"\t\n" once per line.
+_NOT_SEPARATORS = bytes(b for b in range(256) if b not in b"\t\n")
 
 # Tuples written at a time.
 WRITE_BATCH = 4096
@@ -29,11 +41,13 @@ class TsvTupleSource:
 
     Each iteration of a file source opens the file fresh, so multi-pass
     consumers can replay it. Input is read in blocks of ``BLOCK_BYTES``, never
-    whole. Stdin can be read only once: a second iteration raises
-    `UnsupportedSourceError` instead of yielding an empty stream. In
-    lenient mode (the default) malformed lines are skipped and counted in
-    ``skipped_lines``, which resets at the start of every pass; strict mode
-    raises at the offending line instead.
+    whole. A block in which every complete line holds exactly one tab is
+    split into fields in C; any other block falls back to a per-line loop,
+    which yields the same tuples. Stdin can be read only once: a second
+    iteration raises `UnsupportedSourceError` instead of yielding an empty
+    stream. In lenient mode (the default) malformed lines are skipped and
+    counted in ``skipped_lines``, which resets at the start of every pass;
+    strict mode raises at the offending line instead.
     """
 
     def __init__(self, path: str | Path | None, strict: bool = False):
@@ -50,14 +64,14 @@ class TsvTupleSource:
                 )
             self._stdin_read = True
         self.skipped_lines = 0
-        return self._scan()
+        return chain.from_iterable(self._blocks())
 
-    def _scan(self) -> Iterator[tuple[bytes, bytes]]:
-        # Read in blocks and split each on b"\n". The unfinished last line is
-        # carried into the next block (a block with no b"\n" is only kept, so
-        # a long line is joined once), and "\r\n" becomes "\n" after the
-        # carry, so one split across two blocks is still found. A final line
-        # with no "\n" keeps its "\r".
+    def _blocks(self) -> Iterator[Iterable[tuple[bytes, bytes]]]:
+        # Read in blocks and split each at its last b"\n". The unfinished last
+        # line is carried into the next block (a block with no b"\n" is only
+        # kept, so a long line is joined once), and "\r\n" becomes "\n" after
+        # the carry, so one split across two blocks is still found. A final
+        # line with no "\n" keeps its "\r".
         opened = nullcontext(sys.stdin.buffer) if self.path is None else open(self.path, "rb")
         number = 0
         pieces: list[bytes] = []
@@ -67,22 +81,33 @@ class TsvTupleSource:
                 pieces.append(block)
                 if block and b"\n" not in block:
                     continue
-                lines = b"".join(pieces).replace(b"\r\n", b"\n").split(b"\n")
-                rest = lines.pop()
+                data = b"".join(pieces).replace(b"\r\n", b"\n")
+                end = data.rfind(b"\n") + 1
+                whole, rest = data[:end], data[end:]
                 pieces = [rest]
-                if not block and rest:
-                    lines.append(rest)
-                for line in lines:
-                    number += 1
-                    x, tab, y = line.partition(b"\t")
-                    if tab:
-                        yield x, y
-                    elif self.strict:
-                        raise MalformedLineError(number)
-                    else:
-                        self.skipped_lines += 1
+                lines = whole.count(b"\n")
+                if whole.translate(None, _NOT_SEPARATORS) == b"\t\n" * lines:
+                    fields = iter(whole.replace(b"\t", b"\n").split(b"\n"))
+                    yield zip(fields, fields)
+                else:
+                    yield self._lines(whole.split(b"\n")[:-1], number)
+                number += lines
                 if not block:
+                    if rest:
+                        yield self._lines([rest], number)
                     return
+
+    def _lines(self, lines: list[bytes], number: int) -> Iterator[tuple[bytes, bytes]]:
+        """The tuples of ``lines``, the first of which is line ``number + 1``."""
+        for line in lines:
+            number += 1
+            x, tab, y = line.partition(b"\t")
+            if tab:
+                yield x, y
+            elif self.strict:
+                raise MalformedLineError(number)
+            else:
+                self.skipped_lines += 1
 
 
 def write_tuples(path: str | Path, tuples: Iterable[tuple[bytes, bytes]]) -> int:
