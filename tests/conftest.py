@@ -55,8 +55,6 @@ def read_by_lines(data, strict):
     return tuples, skipped, None
 
 
-
-
 class CountingSource:
     """Replayable source that counts every tuple it yields, across passes."""
 

@@ -303,7 +303,7 @@ def test_golden_outputs_on_quirky_lines(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SWEEP_SHA256
 
 
-def wide_tsv() -> bytes:
+def boundary_tsv() -> bytes:
     """More than three 64 KiB blocks of clean lines, with the quirks set among them.
 
     The first block ends between the ``\\r`` and ``\\n`` of a CRLF line; the
@@ -324,8 +324,8 @@ def wide_tsv() -> bytes:
 
 
 def test_block_boundaries_give_the_line_reader_outputs(tmp_path):
-    stream = tmp_path / "wide.tsv"
-    stream.write_bytes(wide_tsv())
+    stream = tmp_path / "boundary.tsv"
+    stream.write_bytes(boundary_tsv())
     assert stream.stat().st_size > 3 * 65536
     tuples, skipped, _ = read_by_lines(stream.read_bytes(), strict=False)
     assert skipped == 1
@@ -337,7 +337,7 @@ def test_block_boundaries_give_the_line_reader_outputs(tmp_path):
     assert exact.stdout == b"".join(b"(%s,%s) %d\n" % pair for pair in expected)
     assert (exact.returncode, exact.stderr) == (0, warning)
 
-    snap = tmp_path / "wide.snap"
+    snap = tmp_path / "boundary.snap"
     built = run_cli("build", "--in", str(stream), "--phi1", "0.01", "--phi2", "0.1",
                     "--s1", "8", "--s2", "4", "--out", str(snap))
     assert built.returncode == 0
