@@ -242,7 +242,7 @@ def test_error_statistic_bounds_across_sweep():
     ceilings = [row.primary.theoretical_max for row in rows]
     ok &= all(a > b for a, b in zip(ceilings, ceilings[1:]))
     ok &= rows[0].primary.max_error <= Fraction(1, 1000)
-    ok &= not rows[0].primary.empty and not rows[0].secondary.empty
+    ok &= bool(rows[0].primary.per_item_errors and rows[0].secondary.per_item_errors)
     _emit("error-statistic-bounds", ok)
 
     for row in rows:
@@ -252,8 +252,8 @@ def test_error_statistic_bounds_across_sweep():
     assert all(a > b for a, b in zip(ceilings, ceilings[1:]))
     # the 1/s1 ceiling means at most 0.1% error at s1 = 1000
     assert rows[0].primary.max_error <= Fraction(1, 1000)
-    assert not rows[0].primary.empty
-    assert not rows[0].secondary.empty
+    assert rows[0].primary.per_item_errors
+    assert rows[0].secondary.per_item_errors
 
 
 def test_oracle_cross_validation_over_seeds():

@@ -39,7 +39,7 @@ def test_error_statistics_hand_derived_case():
     assert primary.max_error == Fraction(1, 5)
     assert primary.avg_error == Fraction(1, 5)
     assert primary.theoretical_max == Fraction(1, 2)
-    assert not primary.empty
+    assert primary.per_item_errors
 
     secondary = secondary_error_stats(counts, sketch, "0.5", "0.5")
     assert secondary.per_item_errors == [((b"a", b"p"), Fraction(1, 3))]
@@ -55,7 +55,7 @@ def test_error_statistics_zero_without_shedding():
     counts = exact_counts_naive(stream)
     primary = primary_error_stats(counts, sketch, "0.1")
     secondary = secondary_error_stats(counts, sketch, "0.1", "0.1")
-    assert not primary.empty
+    assert primary.per_item_errors
     assert primary.max_error == 0
     assert secondary.max_error == 0
 
@@ -66,7 +66,7 @@ def test_empty_heavy_sets_flagged():
     sketch = build(params, stream)
     counts = exact_counts_naive(stream)
     stats = primary_error_stats(counts, sketch, "0.5")
-    assert stats.empty
+    assert stats.per_item_errors == []
     assert stats.max_error == 0
     assert stats.avg_error == 0
 
@@ -117,7 +117,7 @@ def test_bounds_hold_on_zipf_with_solver_params():
     assert primary.max_error <= primary.theoretical_max
     assert secondary.max_error <= secondary.theoretical_max
     for stats in (primary, secondary):
-        assert not stats.empty
+        assert stats.per_item_errors
         assert 0 <= stats.avg_error <= stats.max_error
         assert all(err >= 0 for _, err in stats.per_item_errors)
 
@@ -183,7 +183,7 @@ def test_sweep_reads_twice_without_heavy_primaries():
     assert source.yielded == 2 * len(tuples)
     naive = exact_chh_naive(tuples, "0.2", "0.5")
     assert rows == sweep(tuples, "0.2", "0.5", [4, 8], [2], oracle=naive)
-    assert all(row.primary.empty and row.secondary.empty for row in rows)
+    assert all(not row.primary.per_item_errors and not row.secondary.per_item_errors for row in rows)
 
 
 def test_sweep_csv_layout():

@@ -99,14 +99,14 @@ def test_restored_summary_equals_and_continues_like_the_original(capacity, head,
     for key in head:
         summary.update(key)
     restored = MgSummary.restore(capacity, summary.items_seen, dict(summary.entries()))
-    assert restored == summary
+    assert (restored.items_seen, restored.entries()) == (summary.items_seen, summary.entries())
     for key in tail:
         summary.update(key)
         restored.update(key)
     if len(summary):
         summary.decrement_least_key()
         restored.decrement_least_key()
-    assert restored == summary
+    assert (restored.items_seen, restored.entries()) == (summary.items_seen, summary.entries())
 
 
 def test_decrement_least_key_picks_smallest_and_drops_zero():

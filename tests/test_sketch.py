@@ -182,7 +182,7 @@ def test_queries_valid_at_any_prefix():
         if len(seen) % 50 == 0:
             n, primary, _ = true_counts(seen)
             report = sketch.report()
-            assert report.n == n
+            assert sketch.n == n
             floor = (params.phi1 - Fraction(1, params.s1)) * n
             for p in report.primaries:
                 assert p.est_count >= floor
