@@ -37,18 +37,13 @@ ErrorItem = Union[bytes, tuple[bytes, bytes]]
 class ErrorStats:
     """Per-item relative undercounts plus their max, mean, and ceiling.
 
-    A measurement over zero items is ``empty`` and reports max and mean as 0.
+    A measurement over no items reports max and mean as 0.
     """
 
     per_item_errors: list[tuple[ErrorItem, Fraction]]
     max_error: Fraction
     avg_error: Fraction
     theoretical_max: Fraction
-
-    @property
-    def empty(self) -> bool:
-        """True when the measurement covered no items."""
-        return not self.per_item_errors
 
 
 def _finish(

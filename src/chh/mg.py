@@ -33,7 +33,7 @@ class MgSummary:
         capacity: maximum number of retained (key, count) entries.
         items_seen: number of update() calls applied.
         sweeps: number of shed rounds run (at most items_seen // (capacity + 1));
-            only ``perfbench``'s ``MgProbe`` reads it, for ``mg.inner_sweeps``.
+            read by ``perfbench``'s ``MgProbe``, for ``mg.inner_sweeps``, and by tests.
     """
 
     __slots__ = ("capacity", "items_seen", "sweeps", "_entries")
@@ -55,21 +55,6 @@ class MgSummary:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MgSummary):
-            return NotImplemented
-        return (
-            self.capacity == other.capacity
-            and self.items_seen == other.items_seen
-            and self._entries == other._entries
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"MgSummary(capacity={self.capacity}, items_seen={self.items_seen}, "
-            f"entries={dict(sorted(self._entries.items()))!r})"
-        )
-
     def update(self, key: bytes) -> None:
         """Count one occurrence of ``key``, shedding mass on overflow."""
         self.items_seen += 1
@@ -84,15 +69,7 @@ class MgSummary:
 
     def _shed(self) -> None:
         # Every count drops by one; zero counts leave immediately.
-        entries = self._entries
-        dead = []
-        for key, count in entries.items():
-            if count == 1:
-                dead.append(key)
-            else:
-                entries[key] = count - 1
-        for key in dead:
-            del entries[key]
+        self._entries = {key: count - 1 for key, count in self._entries.items() if count > 1}
         self.sweeps += 1
 
     def estimate(self, key: bytes) -> int:

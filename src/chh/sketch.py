@@ -73,14 +73,6 @@ class PrimaryEntry:
         self.inner.decrement_least(outer_sweeps - self.synced)
         self.synced = outer_sweeps
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PrimaryEntry):
-            return NotImplemented
-        return self.est_count == other.est_count and self.inner == other.inner
-
-    def __repr__(self) -> str:
-        return f"PrimaryEntry(due={self.due}, inner={self.inner!r}, synced={self.synced})"
-
 
 @dataclass(frozen=True)
 class ReportedPrimary:
@@ -99,7 +91,6 @@ class ChhReport:
     identical sketches always produce identical reports.
     """
 
-    n: int
     primaries: tuple[ReportedPrimary, ...]
 
 
@@ -253,4 +244,4 @@ class ChhSketch:
                 (skey, est) for skey, est in entry.inner.entries() if est >= inner_floor
             )
             reported.append(ReportedPrimary(key, entry.est_count, secondaries))
-        return ChhReport(n=n, primaries=tuple(reported))
+        return ChhReport(primaries=tuple(reported))
