@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import UnsupportedSourceError
+from .errors import InconsistentInputError, UnsupportedSourceError
 from .mg import MgSummary
 from .params import FractionLike, to_thresholds
 
@@ -124,7 +124,9 @@ def exact_chh_multipass(
     pairs of heavy primaries whose summary shed, and is skipped when there
     are none. Memory is at most ceil(1/phi1) - 1 primary counts and
     (ceil(1/phi1) - 1) * (ceil(1/phi2) - 1) pair counts; the strict
-    thresholds are applied by :func:`exact_chh_from_counts`.
+    thresholds are applied by :func:`exact_chh_from_counts`. Raises
+    `InconsistentInputError` when pass 2 or 3 reads a different number of
+    tuples than pass 1, as a pipe or a FIFO does.
     """
     phi1, phi2 = to_thresholds(phi1, phi2)
     require_replayable(source)
@@ -154,6 +156,7 @@ def _exact_from_candidates(
         summary = secondary_candidates.get(x)
         if summary is not None:
             summary.update(y)
+    _check_replay(candidates.items_seen, n, 2)
     primary_counts = {d: summary.items_seen for d, summary in secondary_candidates.items()}
     heavy = _heavy_primaries(primary_counts, n, phi1)
 
@@ -168,9 +171,21 @@ def _exact_from_candidates(
     shed = {d for d, f_d in heavy.items() if secondary_candidates[d].total() != f_d}
     recount = {key: 0 for key in pair_counts if key[0] in shed}
     if recount:
+        read = 0
         for x, y in source:
+            read += 1
             key = (x, y)
             if key in recount:
                 recount[key] += 1
+        _check_replay(n, read, 3)
         pair_counts.update(recount)
     return exact_chh_from_counts(ExactCounts(n, primary_counts, pair_counts), phi1, phi2)
+
+
+def _check_replay(first: int, read: int, which: int) -> None:
+    """Reject a pass ``which`` that read ``read`` tuples where pass 1 read ``first``."""
+    if read != first:
+        raise InconsistentInputError(
+            f"pass 1 read {first} tuples but pass {which} read {read}; the input must "
+            "read the same on every pass, so it cannot be a pipe or a FIFO"
+        )

@@ -1,4 +1,5 @@
 import hashlib
+import os
 import subprocess
 import sys
 
@@ -95,6 +96,19 @@ def test_exact_csv_format_keeps_keys_with_commas_apart(tmp_path):
     result = run_cli(*args, "--format", "csv")
     assert result.returncode == 0
     assert result.stdout == b'd,s,count\na,"b,c",2\n"a,b",c,2\n'
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+@pytest.mark.parametrize("command", ["exact", "evaluate"])
+def test_multipass_commands_exit_2_on_a_pipe(tmp_path, command):
+    sweep = tmp_path / "sweep.csv"
+    extra = ["--s1-list", "4", "--s2-list", "4", "--out", str(sweep)] if command == "evaluate" else []
+    result = run_cli(command, "--in", "/dev/stdin", "--phi1", "0.3", "--phi2", "0.3", *extra,
+                     stdin=b"a\tx\na\tx\n")
+    assert result.returncode == 2
+    assert result.stdout == b""
+    assert b"pass 1 read 2 tuples but pass 2 read 0" in result.stderr
+    assert not sweep.exists()
 
 
 def test_evaluate_writes_csv(tmp_path):

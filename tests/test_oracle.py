@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chh import (
+    InconsistentInputError,
     InvalidParameterError,
     UnsupportedSourceError,
     exact_chh_from_counts,
@@ -138,6 +139,34 @@ def test_multipass_skips_the_third_read_when_heavy_summaries_did_not_shed(
     # every kept pair count is exact and lies under a heavy primary
     assert result.counts.pairs.items() <= naive.counts.pairs.items()
     assert all(d in naive.primaries for d, _ in result.counts.pairs)
+
+
+class ShortPassSource:
+    """Replayable source that drops its last tuple on pass ``short``, as a pipe drops all."""
+
+    def __init__(self, tuples, short):
+        self.tuples = tuples
+        self.short = short
+        self.passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        yield from self.tuples[:-1] if self.passes == self.short else self.tuples
+
+
+@pytest.mark.parametrize("short", [2, 3])
+def test_multipass_rejects_a_pass_that_reads_fewer_tuples(short):
+    # a is heavy and b is heavy with a shed pair summary, so pass 3 runs
+    tuples = (
+        [(b"a", b"p")] * 10 + [(b"b", b"q"), (b"b", b"r"), (b"b", b"q")] * 3 + [(b"c", b"p")]
+    )
+    full = ShortPassSource(tuples, None)
+    exact_chh_multipass(full, "0.2", "0.5")
+    assert full.passes == 3
+    source = ShortPassSource(tuples, short)
+    with pytest.raises(InconsistentInputError, match=f"pass 1 read 20 tuples but pass {short} read 19"):
+        exact_chh_multipass(source, "0.2", "0.5")
+    assert source.passes == short
 
 
 # 1/k thresholds make exact ties f_d = phi1 * n and f_{d,s} = phi2 * f_d common.
