@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 from typing import Sequence
 
 from .errors import (
@@ -140,8 +141,22 @@ def _warn_skipped(source: TsvTupleSource) -> None:
         print(f"warning: skipped {source.skipped_lines} malformed line(s)", file=sys.stderr)
 
 
+def _check_out(path: str) -> None:
+    """Fail before any input is read when ``--out`` cannot be written as a file.
+
+    The file is not opened here: that would truncate an old snapshot before
+    the new one is ready.
+    """
+    out = Path(path)
+    if out.is_dir():
+        raise IsADirectoryError(f"--out {path} is a directory")
+    if not out.parent.is_dir():
+        raise FileNotFoundError(f"--out {path}: directory {out.parent} does not exist")
+
+
 def _cmd_build(args) -> int:
     params = _build_params(args)
+    _check_out(args.out)
     sketch = ChhSketch(params)
     source = TsvTupleSource(args.input, strict=args.strict)
     sketch.consume(source)
@@ -200,12 +215,13 @@ def _cmd_exact(args) -> int:
     result = exact_chh_multipass(source, args.phi1, args.phi2)
     _warn_skipped(source)
     out = sys.stdout.buffer
+    pairs = sorted(result.pairs.items())
     if args.format == "csv":
         out.write(b"d,s,count\n")
-        for d, s, count in result.sorted_pairs():
+        for (d, s), count in pairs:
             out.write(b"%s,%s,%d\n" % (_csv_field(d), _csv_field(s), count))
     else:
-        for d, s, count in result.sorted_pairs():
+        for (d, s), count in pairs:
             out.write(b"(%s,%s) %d\n" % (d, s, count))
     out.flush()
     return EXIT_OK
@@ -220,14 +236,11 @@ def _parse_int_list(text: str, name: str) -> list[int]:
 
 
 def _cmd_evaluate(args) -> int:
+    s1_values = _parse_int_list(args.s1_list, "--s1-list")
+    s2_values = _parse_int_list(args.s2_list, "--s2-list")
+    _check_out(args.out)
     source = TsvTupleSource(args.input)
-    rows = sweep(
-        source,
-        args.phi1,
-        args.phi2,
-        _parse_int_list(args.s1_list, "--s1-list"),
-        _parse_int_list(args.s2_list, "--s2-list"),
-    )
+    rows = sweep(source, args.phi1, args.phi2, s1_values, s2_values)
     _warn_skipped(source)
     write_sweep_csv(rows, args.out)
     return EXIT_OK

@@ -33,7 +33,7 @@ class MgSummary:
         capacity: maximum number of retained (key, count) entries.
         items_seen: number of update() calls applied.
         sweeps: number of shed rounds run (at most items_seen // (capacity + 1));
-            read by ``perfbench``'s ``MgProbe``, for ``mg.inner_sweeps``, and by tests.
+            read only by ``perfbench``'s ``MgProbe``, for ``mg.inner_sweeps``.
     """
 
     __slots__ = ("capacity", "items_seen", "sweeps", "_entries")

@@ -51,9 +51,6 @@ class ExactChh:
     pairs: dict[tuple[bytes, bytes], int]
     counts: ExactCounts
 
-    def sorted_pairs(self) -> list[tuple[bytes, bytes, int]]:
-        return [(d, s, c) for (d, s), c in sorted(self.pairs.items())]
-
 
 def require_replayable(source: TupleSource) -> None:
     """Reject one-shot iterators; multi-pass consumers must re-iterate."""

@@ -113,7 +113,8 @@ class ChhParams:
             parts += value.as_integer_ratio()
         # Checked first: later messages and the snapshot print these integers.
         limit = sys.get_int_max_str_digits()
-        if limit and any(isinstance(v, int) and abs(v) >= 10**limit for v in parts):
+        bound = 10**limit  # once: each power of ten this size costs tens of microseconds
+        if limit and any(isinstance(v, int) and abs(v) >= bound for v in parts):
             raise InvalidParameterError(
                 f"s1, s2 and the terms of phi1, phi2, eps1, eps2 need at most {limit} digits"
             )
@@ -132,8 +133,8 @@ class ChhParams:
 
         The tolerances become the values the sizes actually deliver: ``eps1``
         is 1/s1 (capped at phi1/2 so downstream arithmetic stays defined) and
-        ``eps2`` is the feasibility left-hand side at these sizes. The
-        constraint checks below then report whether those implied tolerances
+        ``eps2`` is the feasibility left-hand side at these sizes.
+        `constraints_satisfied` then reports whether those implied tolerances
         are admissible, rather than refusing to build the sketch.
         """
         phi1, phi2 = to_thresholds(phi1, phi2)
@@ -161,23 +162,17 @@ class ChhParams:
         """f_d/s2 + n/s1: how far a pair estimate under a primary of count f_d can fall short."""
         return Fraction(f_d, self.s2) + self.primary_slack(n)
 
-    def constraint1_satisfied(self) -> bool:
-        """Outer table large enough for the primary tolerance: 1/s1 <= eps1."""
-        return self.primary_slack(1) <= self.eps1
+    def constraints_satisfied(self) -> bool:
+        """Both feasibility constraints: 1/s1 <= eps1, and 1/s2 + alpha/s1 <= eps2 <= phi2.
 
-    def constraint2_satisfied(self) -> bool:
-        """Secondary feasibility: 1/s2 + alpha/s1 <= eps2, with eps2 <= phi2.
-
-        The range check rides along because an eps2 above phi2 promises
-        nothing (every secondary would clear a negative floor); this is what
-        turns the flag false for undersized raw tables, whose implied eps2
-        equals the left-hand side by construction.
+        The first makes the outer table large enough for the primary
+        tolerance. In the second, the range check rides along because an
+        eps2 above phi2 promises nothing (every secondary would clear a
+        negative floor); this is what turns the flag false for undersized raw
+        tables, whose implied eps2 equals the left-hand side by construction.
         """
         lhs = _secondary_lhs(self.alpha, self.s1, self.s2)
-        return lhs <= self.eps2 and self.eps2 <= self.phi2
-
-    def constraints_satisfied(self) -> bool:
-        return self.constraint1_satisfied() and self.constraint2_satisfied()
+        return self.primary_slack(1) <= self.eps1 and lhs <= self.eps2 <= self.phi2
 
 
 def solve_params(

@@ -63,11 +63,6 @@ class PrimaryEntry:
         self.inner = inner
         self.synced = synced
 
-    @property
-    def est_count(self) -> int:
-        """The count as of round ``synced``: the current count once settled."""
-        return self.due - self.synced
-
     def settle(self, outer_sweeps: int) -> None:
         """Pay the inner units owed for the rounds up to ``outer_sweeps`` in one call."""
         self.inner.decrement_least(outer_sweeps - self.synced)
@@ -118,11 +113,23 @@ class ChhSketch:
     def restore(cls, params: ChhParams, n: int, rows: list[tuple]) -> ChhSketch:
         """Rebuild a sketch from settled ``(key, est_count, items_seen, counts)`` rows.
 
-        A tuple adds one unit to one primary and a round takes one from s1 + 1,
-        so ``n - sum(est_count) == (s1 + 1) * outer_sweeps``. Each round an entry
-        lives through takes one unit of est_count and at most one of counts, so
-        ``sum(counts) <= est_count <= items_seen <= est_count + outer_sweeps``.
-        Raises `SnapshotFormatError` on a state that breaks these rules. Keys are distinct.
+        Every state some stream reaches obeys these rules:
+        - A tuple adds one unit to one primary and a round takes one from s1 + 1,
+          so ``n - sum(est_count) == (s1 + 1) * outer_sweeps``.
+        - Each tuple of an entry adds one to est_count and to items_seen, each
+          round it lives through takes one from est_count only, and it leaves at
+          0. So it has lived through ``items_seen - est_count`` rounds, and
+          ``1 <= est_count <= items_seen <= est_count + outer_sweeps``.
+        - A tuple adds one to est_count and to sum(counts), an inner shed takes
+          s2 + 1 from counts only, and a round takes one from est_count and one
+          from counts unless they are empty. So ``sum(counts) <= est_count``,
+          and the inner loss ``items_seen - sum(counts)`` is a multiple of
+          s2 + 1 plus at most one unit per round lived through:
+          ``(items_seen - sum(counts)) % (s2 + 1) <= items_seen - est_count``.
+        Raises `SnapshotFormatError` on a state that breaks these rules. That
+        the rules also suffice, so that some stream reaches every state they
+        admit, is not proven; a test checks it exhaustively on the smallest
+        table sizes and streams. Keys are distinct.
         """
         sketch = cls(params)
         sketch.n = n
@@ -131,11 +138,13 @@ class ChhSketch:
             raise SnapshotFormatError("the primary counts and their number do not fit n and s1")
         sketch.outer_sweeps = sweeps
         for key, est_count, items_seen, counts in rows:
+            total = sum(counts.values())
             if not (
                 len(counts) <= params.s2
                 and min(counts.values(), default=1) >= 1
-                and sum(counts.values()) <= est_count
+                and total <= est_count
                 and 1 <= est_count <= items_seen <= est_count + sweeps
+                and (items_seen - total) % (params.s2 + 1) <= items_seen - est_count
             ):
                 raise SnapshotFormatError(f"entry for key {key!r} violates sketch invariants")
             inner = MgSummary.restore(params.s2, items_seen, counts)
@@ -239,9 +248,10 @@ class ChhSketch:
         reported = []
         for key, entry in heavy:
             entry.settle(sweeps)
-            inner_floor = ceil(p.phi2 * entry.est_count - p.pair_slack(entry.est_count, n))
+            count = entry.due - sweeps
+            inner_floor = ceil(p.phi2 * count - p.pair_slack(count, n))
             secondaries = tuple(
                 (skey, est) for skey, est in entry.inner.entries() if est >= inner_floor
             )
-            reported.append(ReportedPrimary(key, entry.est_count, secondaries))
+            reported.append(ReportedPrimary(key, count, secondaries))
         return ChhReport(primaries=tuple(reported))

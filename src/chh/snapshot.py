@@ -14,8 +14,11 @@ one by one. `sketch_from_bytes` reads the input one line at a time, so it holds
 no object per line, and reads the fields leniently into plain rows, has
 `ChhSketch.restore` check them against the invariants of the update rule, and
 then requires the sketch to save back to exactly the input bytes, compared
-batch by batch. It therefore accepts precisely what the saver writes for a
-state some stream can reach, and raises `SnapshotFormatError` on anything else.
+batch by batch. It therefore accepts only what the saver writes for a state
+that meets every rule a reachable state must meet, and raises
+`SnapshotFormatError` on anything else. That the rules also suffice, so that
+it accepts exactly the states some stream reaches, is checked exhaustively on
+small sizes, not proven.
 The shed-round counters are not saved: ``outer_sweeps`` is recovered from n
 and the primary counts, and each inner ``sweeps`` reads 0.
 """
@@ -62,7 +65,7 @@ def _batches(sketch: ChhSketch) -> Iterator[bytes]:
         inner = entry.inner
         lines.append(
             b"p %s %d %d %d"
-            % (hexlify(key), entry.est_count, inner.items_seen, len(inner))
+            % (hexlify(key), sketch.estimate_primary(key), inner.items_seen, len(inner))
         )
         for skey, count in inner.entries():
             lines.append(b"s %s %d" % (hexlify(skey), count))

@@ -23,6 +23,28 @@ def true_counts(stream):
     return n, primary, pairs
 
 
+def brute_force_min_product(phi1, phi2, eps1, eps2, s1_limit):
+    """Smallest feasible s1*s2 with s1 up to ``s1_limit``, by integer search.
+
+    Takes `Fraction` arguments; returns None when no s1 in range is feasible.
+    """
+    alpha = (1 + phi2) / (phi1 - eps1)
+    an, ad = alpha.numerator, alpha.denominator
+    en, ed = eps2.numerator, eps2.denominator
+    s1_floor = -(-eps1.denominator // eps1.numerator)  # ceil(1/eps1)
+    best = None
+    for s1 in range(s1_floor, s1_limit + 1):
+        slack_num = en * ad * s1 - an * ed
+        if slack_num <= 0:
+            continue
+        slack_den = ed * ad * s1
+        s2 = -(-slack_den // slack_num)
+        product = s1 * s2
+        if best is None or product < best:
+            best = product
+    return best
+
+
 def random_tuple_stream(seed, length, primaries, secondaries):
     """Seeded stream over small integer-labelled key alphabets."""
     rng = random.Random(seed)

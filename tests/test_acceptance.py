@@ -30,6 +30,7 @@ from chh import (
     solve_params,
     sweep,
 )
+from conftest import brute_force_min_product
 
 PARAM_SETS = [
     ("0.1", "0.1", "0.05", "0.1"),
@@ -83,17 +84,17 @@ def _build_checked(params: ChhParams, stream, per_update: bool):
             sketch.update(x, y)
             if sketch.outer_sweeps != sweeps_seen:
                 sweeps_seen = sketch.outer_sweeps
-                for _, entry in sketch.entries():
-                    if entry.inner.total() > entry.est_count:
+                for key, entry in sketch.entries():
+                    if entry.inner.total() > sketch.estimate_primary(key):
                         violations += 1
             else:
                 entry = table.get(x)
-                if entry is not None and entry.inner.total() > entry.est_count:
+                if entry is not None and entry.inner.total() > sketch.estimate_primary(x):
                     violations += 1
     else:
         sketch.consume(stream)
-        for _, entry in sketch.entries():
-            if entry.inner.total() > entry.est_count:
+        for key, entry in sketch.entries():
+            if entry.inner.total() > sketch.estimate_primary(key):
                 violations += 1
     return sketch, violations
 
@@ -281,25 +282,6 @@ def test_oracle_cross_validation_over_seeds():
     assert populated > 0
 
 
-def _brute_force_min_product(phi1, phi2, eps1, eps2, s1_limit) -> int | None:
-    """Independent integer search for the smallest feasible s1*s2."""
-    alpha = (1 + phi2) / (phi1 - eps1)
-    an, ad = alpha.numerator, alpha.denominator
-    en, ed = eps2.numerator, eps2.denominator
-    s1_floor = -(-eps1.denominator // eps1.numerator)  # ceil(1/eps1)
-    best = None
-    for s1 in range(s1_floor, s1_limit + 1):
-        slack_num = en * ad * s1 - an * ed
-        if slack_num <= 0:
-            continue
-        slack_den = ed * ad * s1
-        s2 = -(-slack_den // slack_num)
-        product = s1 * s2
-        if best is None or product < best:
-            best = product
-    return best
-
-
 def test_solver_grid_feasibility_and_optimality():
     grid = []
     for p1 in (Fraction(2, 100), Fraction(10, 100), Fraction(25, 100),
@@ -317,7 +299,7 @@ def test_solver_grid_feasibility_and_optimality():
         feasible1 = Fraction(1, params.s1) <= eps1
         feasible2 = Fraction(1, params.s2) + params.alpha / params.s1 <= eps2
         expected_case = "I" if eps1 >= eps2 / (2 * params.alpha) else "II"
-        best = _brute_force_min_product(phi1, phi2, eps1, eps2, 2 * params.s1)
+        best = brute_force_min_product(phi1, phi2, eps1, eps2, 2 * params.s1)
         near_optimal = best is not None and 2 * best >= params.s1 * params.s2
         if not (feasible1 and feasible2 and params.case == expected_case and near_optimal):
             ok = False

@@ -168,6 +168,34 @@ def test_missing_input_file_exits_two(tmp_path):
                  "--phi1", "0.5", "--phi2", "0.5"]) == 2
 
 
+@pytest.mark.parametrize("out", ["dir", "missing/out"])
+@pytest.mark.parametrize("command", ["build", "evaluate"])
+def test_unwritable_out_exits_two_before_reading_input(tmp_path, command, out):
+    # Both commands warn about the malformed line only once they have read it.
+    (tmp_path / "dir").mkdir()
+    stream = tmp_path / "stream.tsv"
+    stream.write_bytes(b"a\tb\nbroken\n")
+    sizes = ["--s1", "1", "--s2", "1"] if command == "build" else ["--s1-list", "1", "--s2-list", "1"]
+    result = run_cli(command, "--in", str(stream), "--phi1", "0.5", "--phi2", "0.5", *sizes,
+                     "--out", str(tmp_path / out))
+    assert result.returncode == 2
+    assert result.stderr.startswith(b"chh: error: --out ")
+    assert b"warning" not in result.stderr
+
+
+def test_failed_build_leaves_an_existing_snapshot_as_it_was(tmp_path):
+    stream = tmp_path / "stream.tsv"
+    snap = tmp_path / "sk.snap"
+    build = ("build", "--in", str(stream), "--phi1", "0.5", "--phi2", "0.5",
+             "--s1", "4", "--s2", "4", "--out", str(snap), "--strict")
+    write_stream(stream, [(b"a", b"b")] * 3)
+    assert run_cli(*build).returncode == 0
+    saved = snap.read_bytes()
+    stream.write_bytes(b"c\td\nbroken\n")
+    assert run_cli(*build).returncode == 2
+    assert snap.read_bytes() == saved
+
+
 def test_corrupt_snapshot_exits_two(tmp_path):
     sketch = ChhSketch(ChhParams.from_raw("0.5", "0.5", 2, 2))
     out_of_range = sketch_to_bytes(sketch).replace(b"s1 2", b"s1 0")
@@ -175,6 +203,20 @@ def test_corrupt_snapshot_exits_two(tmp_path):
     for blob in (b"not a snapshot\n", out_of_range):
         bad.write_bytes(blob)
         assert main(["report", "--sketch", str(bad)]) == 2
+
+
+def test_report_exits_two_on_a_snapshot_no_stream_reaches(tmp_path):
+    # One tuple cannot leave an empty inner table: its pair has lost no unit.
+    sketch = ChhSketch(ChhParams.from_raw("0.5", "0.5", 1, 1))
+    sketch.update(b"a", b"b")
+    blob = sketch_to_bytes(sketch)
+    unreachable = blob.replace(b"p 61 1 1 1\ns 62 1\n", b"p 61 1 1 0\n")
+    assert unreachable != blob
+    bad = tmp_path / "bad.snap"
+    bad.write_bytes(unreachable)
+    result = run_cli("report", "--sketch", str(bad))
+    assert (result.returncode, result.stdout) == (2, b"")
+    assert result.stderr.startswith(b"chh: error: entry for key b'a' violates")
 
 
 def test_cli_report_matches_in_memory_build(tmp_path):
@@ -346,9 +388,9 @@ def test_block_boundaries_give_the_line_reader_outputs(tmp_path):
     warning = b"warning: skipped 1 malformed line(s)\n"
 
     exact = run_cli("exact", "--in", str(stream), "--phi1", "0.01", "--phi2", "0.1")
-    expected = exact_chh_naive(tuples, "0.01", "0.1").sorted_pairs()
+    expected = sorted(exact_chh_naive(tuples, "0.01", "0.1").pairs.items())
     assert expected
-    assert exact.stdout == b"".join(b"(%s,%s) %d\n" % pair for pair in expected)
+    assert exact.stdout == b"".join(b"(%s,%s) %d\n" % (d, s, c) for (d, s), c in expected)
     assert (exact.returncode, exact.stderr) == (0, warning)
 
     snap = tmp_path / "boundary.snap"

@@ -67,7 +67,10 @@ def test_entries_sorted_by_key():
 def test_size_bound_and_estimate_bounds(capacity, stream):
     summary = MgSummary(capacity)
     truth = Counter()
+    sheds = 0
     for key in stream:
+        # An update sheds exactly when it brings a new key to a full table.
+        sheds += summary.estimate(key) == 0 and len(summary) == capacity
         summary.update(key)
         truth[key] += 1
         assert len(summary) <= capacity
@@ -78,7 +81,8 @@ def test_size_bound_and_estimate_bounds(capacity, stream):
         assert est <= truth[key]
         # est >= f - n/(capacity+1), cross-multiplied to stay in integers
         assert est * (capacity + 1) >= truth[key] * (capacity + 1) - n
-    assert summary.sweeps * (capacity + 1) <= n
+    # Each shed takes one unit from each of capacity + 1 keys, and nothing else does.
+    assert n - summary.total() == (capacity + 1) * sheds
 
 
 @given(capacities, streams)
@@ -103,48 +107,49 @@ def test_restored_summary_equals_and_continues_like_the_original(capacity, head,
     for key in tail:
         summary.update(key)
         restored.update(key)
-    if len(summary):
-        summary.decrement_least_key()
-        restored.decrement_least_key()
+    summary.decrement_least(1)
+    restored.decrement_least(1)
     assert (restored.items_seen, restored.entries()) == (summary.items_seen, summary.entries())
 
 
-def test_decrement_least_key_picks_smallest_and_drops_zero():
+def test_decrement_least_one_picks_smallest_and_drops_zero():
     summary = MgSummary(4)
     for key in [b"p", b"p", b"q"]:
         summary.update(key)
-    summary.decrement_least_key()
+    summary.decrement_least(1)
     assert summary.entries() == [(b"p", 1), (b"q", 1)]
-    summary.decrement_least_key()
+    summary.decrement_least(1)
     assert summary.entries() == [(b"q", 1)]
     assert summary.total() == 1
     # not an observed item
     assert summary.items_seen == 3
 
 
-def test_decrement_least_key_on_empty_summary_raises_value_error():
-    with pytest.raises(ValueError):
-        MgSummary(3).decrement_least_key()
-
-    emptied = MgSummary(3)
-    emptied.update(b"a")
-    emptied.update(b"b")
-    emptied.decrement_least_key()
-    emptied.decrement_least_key()
-    assert len(emptied) == 0
-    # a summary emptied by decrements raises on every later call too
+@given(capacities, streams)
+def test_decrement_least_key_is_decrement_least_one_that_raises_when_empty(capacity, stream):
+    summary = MgSummary(capacity)
+    for key in stream:
+        summary.update(key)
+    twin = MgSummary.restore(capacity, summary.items_seen, dict(summary.entries()))
+    while len(summary):
+        summary.decrement_least_key()
+        twin.decrement_least(1)
+        assert (summary.items_seen, summary.entries()) == (twin.items_seen, twin.entries())
+    # a summary emptied by decrements raises on every later call, as a new one does
     for _ in range(2):
         with pytest.raises(ValueError):
-            emptied.decrement_least_key()
+            summary.decrement_least_key()
+    with pytest.raises(ValueError):
+        MgSummary(capacity).decrement_least_key()
 
 
 small_keys = st.sampled_from([b"", b"a", b"b", b"c", b"d", b"e", b"f", b"g"])
-# A key is an update; None is one decrement_least_key call, in runs of 1 to 8;
-# an int k is one decrement_least(k) call.
+# A key is an update; an int k is one decrement_least(k) call, and one-unit
+# calls also come in runs of 1 to 8.
 operations = st.lists(
     st.one_of(
         small_keys.map(lambda key: [key]),
-        st.integers(1, 8).map(lambda run: [None] * run),
+        st.integers(1, 8).map(lambda run: [1] * run),
         st.integers(0, 12).map(lambda units: [units]),
     ),
     max_size=80,
@@ -166,16 +171,10 @@ def test_decrements_interleaved_with_updates_match_a_min_model(capacity, steps):
             model[key] = model.get(key, 0) + 1
             if len(model) > capacity:
                 model = {k: count - 1 for k, count in model.items() if count > 1}
-        elif key is None and not model:
-            with pytest.raises(ValueError):
-                summary.decrement_least_key()
         else:
-            if key is None:
-                summary.decrement_least_key()
-            else:
-                summary.decrement_least(key)
+            summary.decrement_least(key)
             # One unit at a time from the least key; nothing once empty.
-            for _ in range(1 if key is None else key):
+            for _ in range(key):
                 if not model:
                     break
                 least = min(model)

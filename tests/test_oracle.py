@@ -23,7 +23,6 @@ def test_multipass_worked_example():
     assert result.counts.n == 4
     assert result.primaries == {b"a": 3}
     assert result.pairs == {(b"a", b"b"): 3}
-    assert result.sorted_pairs() == [(b"a", b"b", 3)]
 
 
 def test_uniform_stream_has_no_heavy_primaries():

@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 
 import pytest
@@ -15,6 +14,7 @@ from chh import (
     sweep,
     to_fraction,
 )
+from conftest import brute_force_min_product
 
 
 def test_to_fraction_variants():
@@ -96,22 +96,6 @@ def test_solver_output_is_feasible_and_case_matches(config):
     assert params.case == expected_case
 
 
-def brute_force_min_product(phi1, phi2, eps1, eps2, s1_limit):
-    """Smallest feasible s1*s2 with s1 in [1, s1_limit], by direct search."""
-    alpha = (1 + phi2) / (phi1 - eps1)
-    best = None
-    s1_floor = math.ceil(1 / eps1)  # anything smaller breaks the first constraint
-    for s1 in range(s1_floor, s1_limit + 1):
-        slack = eps2 - alpha / s1
-        if slack <= 0:
-            continue
-        s2 = math.ceil(1 / slack)
-        product = s1 * s2
-        if best is None or product < best:
-            best = product
-    return best
-
-
 @pytest.mark.parametrize(
     "phi1,phi2,eps1,eps2",
     [
@@ -133,20 +117,35 @@ def test_solver_is_near_optimal(phi1, phi2, eps1, eps2):
 
 def test_from_raw_implied_tolerances():
     params = ChhParams.from_raw("0.5", "0.5", 2, 2)
-    # 1/s1 = 1/2 exceeds phi1/2 = 1/4, so eps1 is capped and flag 1 is false
+    # 1/s1 = 1/2 exceeds phi1/2 = 1/4, so eps1 is capped and the first constraint fails
     assert params.eps1 == Fraction(1, 4)
-    assert not params.constraint1_satisfied()
     # implied eps2 = 1/2 + alpha/2 = 7/2 blows past phi2
     assert params.eps2 == Fraction(7, 2)
-    assert not params.constraint2_satisfied()
+    assert not params.constraints_satisfied()
 
 
 def test_from_raw_admissible_sizes_pass_both_checks():
     params = ChhParams.from_raw("0.1", "0.2", 1000, 100)
     assert params.eps1 == Fraction(1, 1000)
-    assert params.constraint1_satisfied()
-    assert params.constraint2_satisfied()
     assert params.constraints_satisfied()
+
+
+@pytest.mark.parametrize(
+    "failing, passing",
+    [
+        # 1/s1 = 1/50 above eps1 = 1/100, then not above eps1 = 1/10
+        (("1/100", "1/2"), ("1/10", "1/2")),
+        # 1/s2 + alpha/s1 = 59/400 above eps2 = 1/10, then below eps2 = 1/2
+        (("1/10", "1/10"), ("1/10", "1/2")),
+        # eps2 = 19/20 above phi2 = 9/10
+        (("1/10", "19/20"), ("1/10", "1/2")),
+    ],
+)
+def test_each_constraint_alone_fails_the_check(failing, passing):
+    # phi1 = phi2 = 9/10, s1 = 50, s2 = 10, so alpha/s1 <= 19/400; each case
+    # changes one tolerance (eps1, eps2) between the two checks.
+    assert not ChhParams("0.9", "0.9", *failing, 50, 10).constraints_satisfied()
+    assert ChhParams("0.9", "0.9", *passing, 50, 10).constraints_satisfied()
 
 
 def test_from_raw_rejects_bad_sizes():

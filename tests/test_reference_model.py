@@ -7,11 +7,29 @@ reproduce the model's state byte for byte and its report row for row.
 """
 
 from fractions import Fraction
+from itertools import combinations, product
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chh import ChhParams, ChhSketch, sketch_from_bytes, sketch_to_bytes
+from chh import ChhParams, ChhSketch, SnapshotFormatError, sketch_from_bytes, sketch_to_bytes
+
+
+def canonical_bytes(params, n, table):
+    """The snapshot layout of ``table``, ``{x: [count, items_seen, {y: count}]}``."""
+    lines = [b"chh-sketch v1"]
+    for name in ("phi1", "phi2", "eps1", "eps2"):
+        value = getattr(params, name)
+        lines.append(b"%s %d/%d" % (name.encode(), value.numerator, value.denominator))
+    lines += [b"s1 %d" % params.s1, b"s2 %d" % params.s2, b"n %d" % n]
+    lines.append(b"primaries %d" % len(table))
+    for d, (count, seen, inner) in sorted(table.items()):
+        lines.append(b"p %s %d %d %d" % (d.hex().encode(), count, seen, len(inner)))
+        for s, c in sorted(inner.items()):
+            lines.append(b"s %s %d" % (s.hex().encode(), c))
+    lines.append(b"end")
+    return b"\n".join(lines) + b"\n"
 
 
 class ModelSketch:
@@ -48,19 +66,7 @@ class ModelSketch:
             self.table = {d: e for d, e in self.table.items() if e[0] > 0}
 
     def canonical_bytes(self):
-        p = self.params
-        lines = [b"chh-sketch v1"]
-        for name in ("phi1", "phi2", "eps1", "eps2"):
-            value = getattr(p, name)
-            lines.append(b"%s %d/%d" % (name.encode(), value.numerator, value.denominator))
-        lines += [b"s1 %d" % p.s1, b"s2 %d" % p.s2, b"n %d" % self.n]
-        lines.append(b"primaries %d" % len(self.table))
-        for d, (count, seen, inner) in sorted(self.table.items()):
-            lines.append(b"p %s %d %d %d" % (d.hex().encode(), count, seen, len(inner)))
-            for s, c in sorted(inner.items()):
-                lines.append(b"s %s %d" % (s.hex().encode(), c))
-        lines.append(b"end")
-        return b"\n".join(lines) + b"\n"
+        return canonical_bytes(self.params, self.n, self.table)
 
     def estimate_primary(self, d):
         return self.table[d][0] if d in self.table else 0
@@ -196,3 +202,74 @@ def test_report_thresholds_match_fraction_reference(stream, s1, s2, phi1, phi2):
         sketch.update(x, y)
         model.update(x, y)
     assert report_rows(sketch) == model.report_rows()
+
+
+def reachable_snapshots(params, primaries, secondaries, max_n):
+    """Snapshot bytes of every stream of at most ``max_n`` tuples over the keys.
+
+    Maps each to whether its keys all lie in the first s1 + 1 primaries and
+    s2 + 1 secondaries. Checks on the way that the lazy sketch saves the
+    eager model's bytes after every such stream.
+    """
+    tuples = [(x, y) for x in primaries for y in secondaries]
+    small_primaries = set(primaries[:params.s1 + 1])
+    small_secondaries = set(secondaries[:params.s2 + 1])
+    reached = {}
+    for length in range(max_n + 1):
+        for stream in product(tuples, repeat=length):
+            sketch, model = ChhSketch(params), ModelSketch(params)
+            for x, y in stream:
+                sketch.update(x, y)
+                model.update(x, y)
+            saved = sketch_to_bytes(sketch)
+            assert saved == model.canonical_bytes()
+            reached[saved] = set(model.table) <= small_primaries and all(
+                set(inner) <= small_secondaries for _, _, inner in model.table.values()
+            )
+    return reached
+
+
+def candidate_snapshots(params, primaries, secondaries, max_n):
+    """Every layout with n <= max_n, at most s1 primaries and s2 secondaries each,
+    and 1 <= est_count <= items_seen <= n and 1 <= count <= est_count in each entry."""
+
+    def inners(est):
+        for size in range(params.s2 + 1):
+            for keys in combinations(secondaries, size):
+                for counts in product(range(1, est + 1), repeat=size):
+                    yield dict(zip(keys, counts))
+
+    for n in range(max_n + 1):
+        entries = [
+            [est, seen, inner]
+            for seen in range(1, n + 1)
+            for est in range(1, seen + 1)
+            for inner in inners(est)
+        ]
+        for size in range(params.s1 + 1):
+            for keys in combinations(primaries, size):
+                for rows in product(entries, repeat=size):
+                    yield canonical_bytes(params, n, dict(zip(keys, rows)))
+
+
+def loads(data):
+    try:
+        sketch_from_bytes(data)
+    except SnapshotFormatError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("s1, s2, max_n", [(1, 1, 4), (1, 2, 4), (2, 1, 4), (2, 2, 3)])
+def test_loader_accepts_exactly_the_reachable_states_of_small_sketches(s1, s2, max_n):
+    # Streams draw from one primary and one secondary more than the candidates
+    # use, so a reachable state may owe its shape to a key that has left.
+    params = ChhParams.from_raw("1/2", "1/3", s1, s2)
+    primaries = [b"a", b"b", b"c", b"d"][:s1 + 2]
+    secondaries = [b"p", b"q", b"r", b"s"][:s2 + 2]
+    reached = reachable_snapshots(params, primaries, secondaries, max_n)
+    candidates = set(candidate_snapshots(
+        params, primaries[:s1 + 1], secondaries[:s2 + 1], max_n
+    ))
+    assert {data for data, small in reached.items() if small} <= candidates
+    assert {data for data in candidates if loads(data)} == candidates & reached.keys()

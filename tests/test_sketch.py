@@ -42,7 +42,7 @@ def test_single_tuple():
 
 def test_update_hand_simulation(tiny_stream):
     sketch = run_sketch(ChhParams.from_raw("0.5", "0.5", 2, 2), tiny_stream)
-    state = [(d, e.est_count, e.inner.entries()) for d, e in sketch.entries()]
+    state = [(d, sketch.estimate_primary(d), e.inner.entries()) for d, e in sketch.entries()]
     assert state == [
         (b"a", 3, [(b"p", 2), (b"q", 1)]),
         (b"b", 1, [(b"p", 1)]),
@@ -51,7 +51,7 @@ def test_update_hand_simulation(tiny_stream):
     # (c, r) overflows the outer table: every primary count drops by one, the
     # smallest retained secondary key drops with it, zeros are discarded.
     sketch.update(b"c", b"r")
-    state = [(d, e.est_count, e.inner.entries()) for d, e in sketch.entries()]
+    state = [(d, sketch.estimate_primary(d), e.inner.entries()) for d, e in sketch.entries()]
     assert state == [(b"a", 2, [(b"p", 1), (b"q", 1)])]
     assert sketch.estimate_pair(b"a", b"p") == 1
     assert sketch.n == 5
@@ -64,7 +64,7 @@ def test_inner_overflow_can_empty_inner_table():
     )
     ((key, entry),) = sketch.entries()
     assert key == b"a"
-    assert entry.est_count == 3
+    assert sketch.estimate_primary(key) == 3
     assert entry.inner.entries() == []
     # a later outer shed must then skip the inner decrement
     sketch.update(b"b", b"x")
@@ -116,18 +116,33 @@ def test_report_sorted_by_primary_then_secondary():
 def test_size_bounds_and_inner_totals_after_every_update(stream, s1, s2):
     params = ChhParams.from_raw("0.5", "0.5", s1, s2)
     sketch = ChhSketch(params)
+    # Inner sheds per retained primary, counted from the settled entries
+    # before each update, which is how the update's own settle leaves x.
+    sheds = {}
+    entries = {}
     for x, y in stream:
+        entry = entries.get(x)
+        if entry is None:
+            sheds[x] = 0
+        elif entry.inner.estimate(y) == 0 and len(entry.inner) == s2:
+            sheds[x] += 1
         sketch.update(x, y)
+        entries = dict(sketch.entries())
         assert len(sketch) <= s1
-        for _, entry in sketch.entries():
-            assert entry.est_count >= 1
+        for d, entry in entries.items():
+            est = sketch.estimate_primary(d)
+            assert est >= 1
             assert len(entry.inner) <= s2
-            assert entry.inner.total() <= entry.est_count
+            assert entry.inner.total() <= est
     # shed rounds remove s1+1 (outer) or s2+1 (inner) units of mass at once,
     # so their counts are bounded by the mass that ever entered
     assert sketch.outer_sweeps * (s1 + 1) <= sketch.n
-    for _, entry in sketch.entries():
-        assert entry.inner.sweeps * (s2 + 1) <= entry.inner.items_seen
+    for d, entry in entries.items():
+        # An inner table loses s2+1 units per inner shed, and at most one
+        # more per outer round its primary lived through.
+        seen = entry.inner.items_seen
+        lost = seen - entry.inner.total() - (s2 + 1) * sheds[d]
+        assert 0 <= lost <= seen - sketch.estimate_primary(d)
 
 
 @given(pair_streams, small_sizes, small_sizes)
