@@ -1,4 +1,4 @@
-"""Exception types shared across the package, plus its positive-integer check.
+"""Exception types shared across the package, plus its positive-integer and replay checks.
 
 The CLI maps these onto exit codes: parameter problems are usage errors, and
 malformed input and inconsistent artifacts are data errors.
@@ -48,3 +48,12 @@ def check_positive_int(value: int, name: str) -> None:
     """Reject anything but a positive ``int`` (``bool`` included) for ``name``."""
     if not isinstance(value, int) or isinstance(value, bool) or value < 1:
         raise InvalidParameterError(f"{name} must be a positive integer, got {_shown(value)}")
+
+
+def check_replay(first: int, read: int, which: int) -> None:
+    """Reject a pass ``which`` that read ``read`` tuples where pass 1 read ``first``."""
+    if read != first:
+        raise InconsistentInputError(
+            f"pass 1 read {first} tuples but pass {which} read {read}; the input must "
+            "read the same on every pass, so it cannot be a pipe or a FIFO"
+        )

@@ -11,10 +11,12 @@ parameters, read off the `ChhParams` slack methods: ``primary_slack(1)``, or
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, islice, starmap
 from pathlib import Path
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from .errors import InconsistentInputError, InvalidParameterError
 from .oracle import (
@@ -31,6 +33,9 @@ from .params import ChhParams, FractionLike, _to_threshold
 from .sketch import ChhSketch
 
 ErrorItem = Union[bytes, tuple[bytes, bytes]]
+
+# Tuples fed to the sketches of pass 2 at a time.
+FEED_TUPLES = 1024
 
 
 @dataclass
@@ -127,34 +132,47 @@ def sweep(
     s2_values: Sequence[int],
     oracle: ExactChh | None = None,
 ) -> list[SweepRow]:
-    """Build one sketch per (s1, s2) pair against a single shared oracle run.
+    """One row per (s1, s2) pair, each sketch scored against a single shared oracle run.
 
     Table sizes are taken as given (`ChhParams.from_raw`), so rows may run
     with infeasible sizes on purpose; the per-row theoretical columns then
     carry the tolerances those sizes imply. Every configuration's sizes are
     checked before the first pass over ``source``.
 
-    One loop over ``source`` feeds every sketch and, when ``oracle`` is not
-    given, pass 1 of :func:`exact_chh_multipass`; its pass 2, and pass 3 when
-    a heavy primary's pair summary shed, follow. So ``source`` is read two or
-    three times, or once when ``oracle`` is given. All sketches are held at
-    once, so memory is the sum of their sizes.
+    Pass 1 feeds only the largest configuration, (max s1, max s2), and, when
+    ``oracle`` is not given, pass 1 of :func:`exact_chh_multipass`. Every
+    configuration that `ChhSketch.derive` can read off the largest sketch is
+    derived from it, with no copy. The others are fed in pass 2, in the same
+    loop as the oracle's pass 2; its pass 3 follows when a heavy primary's
+    pair summary shed. So without ``oracle``, ``source`` is read two or three
+    times; with it, once when every configuration is derived and twice
+    otherwise. Memory is the largest sketch plus the sketches that are not
+    derived, held at once.
     """
     require_replayable(source)
     if not s1_values or not s2_values:
         raise InvalidParameterError("s1_values and s2_values must be non-empty")
     configs = [ChhParams.from_raw(phi1, phi2, s1, s2) for s1 in s1_values for s2 in s2_values]
     phi1, phi2 = configs[0].phi1, configs[0].phi2
-    sketches = [ChhSketch(params) for params in configs]
-    updates = [sketch.update for sketch in sketches]
+    largest = ChhSketch(max(configs, key=lambda params: (params.s1, params.s2)))
+    update = largest.update
     candidates = _candidate_summary(phi1) if oracle is None else None
     for x, y in source:
         if candidates is not None:
             candidates.update(x)
-        for update in updates:
-            update(x, y)
+        update(x, y)
+    sketches, fed = [], []
+    for params in configs:
+        sketch = largest.derive(params)
+        if sketch is None:
+            sketch = ChhSketch(params)
+            fed.append(sketch.update)
+        sketches.append(sketch)
+    pass2 = chain.from_iterable(_fed_blocks(source, fed)) if fed else None
     if oracle is None:
-        oracle = _exact_from_candidates(source, candidates, phi1, phi2)
+        oracle = _exact_from_candidates(source, candidates, phi1, phi2, pass2)
+    elif pass2 is not None:
+        deque(pass2, 0)
     rows = []
     for sketch in sketches:
         report = sketch.report()
@@ -170,6 +188,21 @@ def sweep(
             )
         )
     return rows
+
+
+def _fed_blocks(
+    source: TupleSource, updates: list[Callable[[bytes, bytes], None]]
+) -> Iterator[list[tuple[bytes, bytes]]]:
+    """One pass over ``source`` in blocks of ``FEED_TUPLES`` tuples.
+
+    Each block is fed to every one of ``updates`` before it is yielded, by a
+    C-level loop per update, so a sketch costs no Python loop of its own.
+    """
+    tuples = iter(source)
+    while block := list(islice(tuples, FEED_TUPLES)):
+        for update in updates:
+            deque(starmap(update, block), 0)
+        yield block
 
 
 SWEEP_CSV_HEADER = (

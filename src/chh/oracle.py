@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import InconsistentInputError, UnsupportedSourceError
+from .errors import UnsupportedSourceError, check_replay
 from .mg import MgSummary
 from .params import FractionLike, to_thresholds
 
@@ -140,20 +140,26 @@ def _candidate_summary(phi: Fraction) -> MgSummary:
 
 
 def _exact_from_candidates(
-    source: TupleSource, candidates: MgSummary, phi1: Fraction, phi2: Fraction
+    source: TupleSource,
+    candidates: MgSummary,
+    phi1: Fraction,
+    phi2: Fraction,
+    pass2: TupleSource | None = None,
 ) -> ExactChh:
     """Passes 2 and, when needed, 3 of :func:`exact_chh_multipass`.
 
     Pass 1 has filled ``candidates``; see the caller for when pass 3 runs.
+    Pass 2 reads ``pass2`` when it is given: one pass over ``source`` that
+    also does other work per tuple.
     """
     secondary_candidates = {d: _candidate_summary(phi2) for d, _ in candidates.entries()}
     n = 0
-    for x, y in source:
+    for x, y in source if pass2 is None else pass2:
         n += 1
         summary = secondary_candidates.get(x)
         if summary is not None:
             summary.update(y)
-    _check_replay(candidates.items_seen, n, 2)
+    check_replay(candidates.items_seen, n, 2)
     primary_counts = {d: summary.items_seen for d, summary in secondary_candidates.items()}
     heavy = _heavy_primaries(primary_counts, n, phi1)
 
@@ -174,15 +180,6 @@ def _exact_from_candidates(
             key = (x, y)
             if key in recount:
                 recount[key] += 1
-        _check_replay(n, read, 3)
+        check_replay(n, read, 3)
         pair_counts.update(recount)
     return exact_chh_from_counts(ExactCounts(n, primary_counts, pair_counts), phi1, phi2)
-
-
-def _check_replay(first: int, read: int, which: int) -> None:
-    """Reject a pass ``which`` that read ``read`` tuples where pass 1 read ``first``."""
-    if read != first:
-        raise InconsistentInputError(
-            f"pass 1 read {first} tuples but pass {which} read {read}; the input must "
-            "read the same on every pass, so it cannot be a pipe or a FIFO"
-        )

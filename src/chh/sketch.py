@@ -155,6 +155,49 @@ class ChhSketch:
     def __len__(self) -> int:
         return len(self._table)
 
+    def derive(self, params: ChhParams) -> ChhSketch | None:
+        """The sketch ``params`` would have built from this sketch's stream, or None.
+
+        Write L for this sketch, with sizes (S1, S2), and R for a sketch with
+        sizes (r1, r2) fed the same stream. R is read off L when both tests
+        hold, and None is returned otherwise:
+        - outer: r1 == S1, or L ran no outer round and ``len(L) <= r1``;
+        - inner: r2 == S2, or L lost no mass (its inner totals sum to n) and
+          no inner table of L holds more than r2 keys.
+        Proof, by induction over the stream. Equal states stay equal under a
+        tuple unless an insert overflows a table in one sketch but not in the
+        other: sizes enter an update only through the two overflow tests, and
+        a round and its settling do not read them. An outer table of L that
+        ran no round never lost an entry, so its size never exceeded its final
+        ``len(L)``; if that is at most r1, neither sketch's outer test ever
+        fires. A tuple adds one unit of inner mass, and an inner shed, an
+        outer round's unit and a dropped entry each take some away, so if L
+        lost none, none of them happened in L. Then every inner table of L
+        only grew and never exceeded its final size; if no final size exceeds
+        r2, neither sketch's inner test ever fires. Otherwise both tests are
+        the same test.
+        The rule reads ``outer_sweeps`` and ``len`` first, and an inner table
+        only when L ran no round, so it settles nothing. The result shares
+        L's tables under ``params``, with no copy: it must take no update,
+        and L none while it is in use.
+        """
+        own, rounds = self.params, self.outer_sweeps
+        if params.s1 != own.s1 and (rounds or len(self._table) > params.s1):
+            return None
+        if params.s2 != own.s2:
+            if rounds:
+                return None
+            inners = [entry.inner for entry in self._table.values()]
+            if (
+                sum(map(MgSummary.total, inners)) != self.n
+                or max(map(len, inners), default=0) > params.s2
+            ):
+                return None
+        derived = ChhSketch(params)
+        derived.n, derived.outer_sweeps = self.n, rounds
+        derived._table, derived._calendar = self._table, self._calendar
+        return derived
+
     def update(self, x: bytes, y: bytes) -> None:
         """Absorb one (x, y) tuple."""
         self.n += 1

@@ -20,8 +20,15 @@ from contextlib import nullcontext
 from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable, Iterator
+from zlib import crc32
 
-from .errors import InvalidParameterError, MalformedLineError, UnsupportedSourceError
+from .errors import (
+    InconsistentInputError,
+    InvalidParameterError,
+    MalformedLineError,
+    UnsupportedSourceError,
+    check_replay,
+)
 
 # Bytes read at a time. A clean block is split into one list of two fields
 # per line, any other block into one list of lines, so a larger block raises
@@ -48,6 +55,11 @@ class TsvTupleSource:
     stream. In lenient mode (the default) malformed lines are skipped and
     counted in ``skipped_lines``, which resets at the start of every pass;
     strict mode raises at the offending line instead.
+
+    Every pass must read the same bytes. A pass that reaches the end of the
+    input after the first one did raises `InconsistentInputError` there when
+    it read a different number of tuples, or a different ``zlib.crc32`` of
+    the raw bytes, than the first complete pass.
     """
 
     def __init__(self, path: str | Path | None, strict: bool = False):
@@ -55,6 +67,8 @@ class TsvTupleSource:
         self.strict = strict
         self.skipped_lines = 0
         self._stdin_read = False
+        self._passes = 0
+        self._first: tuple[int, int] | None = None  # (tuples, crc32) of the first complete pass
 
     def __iter__(self) -> Iterator[tuple[bytes, bytes]]:
         if self.path is None:
@@ -73,11 +87,12 @@ class TsvTupleSource:
         # the carry, so one split across two blocks is still found. A final
         # line with no "\n" keeps its "\r".
         opened = nullcontext(sys.stdin.buffer) if self.path is None else open(self.path, "rb")
-        number = 0
+        number = crc = 0
         pieces: list[bytes] = []
         with opened as handle:
             while True:
                 block = handle.read(BLOCK_BYTES)
+                crc = crc32(block, crc)
                 pieces.append(block)
                 if block and b"\n" not in block:
                     continue
@@ -95,7 +110,22 @@ class TsvTupleSource:
                 if not block:
                     if rest:
                         yield self._lines([rest], number)
+                        number += 1
+                    self._check_pass(number - self.skipped_lines, crc)
                     return
+
+    def _check_pass(self, tuples: int, crc: int) -> None:
+        """Keep the first complete pass's tuple count and checksum; hold later passes to them."""
+        self._passes += 1
+        if self._first is None:
+            self._first = tuples, crc
+            return
+        check_replay(self._first[0], tuples, self._passes)
+        if crc != self._first[1]:
+            raise InconsistentInputError(
+                f"pass {self._passes} read the same number of tuples as pass 1 but other "
+                "bytes; the input must not change between passes"
+            )
 
     def _lines(self, lines: list[bytes], number: int) -> Iterator[tuple[bytes, bytes]]:
         """The tuples of ``lines``, the first of which is line ``number + 1``."""

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from chh import (
     ChhParams,
@@ -13,6 +15,8 @@ from chh import (
     generate_zipf,
     primary_error_stats,
     secondary_error_stats,
+    sketch_from_bytes,
+    sketch_to_bytes,
     solve_params,
     sweep,
     sweep_csv_lines,
@@ -169,11 +173,31 @@ def test_sweep_reads_three_passes_for_all_configurations():
     assert len(rows) == 4
     assert source.yielded == 3 * len(tuples)
 
-    # With the oracle given, one pass feeds every configuration.
+    # With the oracle given, pass 1 feeds the largest configuration, (20, 8),
+    # which holds 12 primaries and 6 secondaries under one of them. So no other
+    # configuration can be read off it, and pass 2 feeds the other three.
     oracle = exact_chh_multipass(tuples, "0.1", "0.2")
     source = CountingSource(tuples)
     assert sweep(source, "0.1", "0.2", [10, 20], [4, 8], oracle=oracle) == rows
+    assert source.yielded == 2 * len(tuples)
+
+
+def test_sweep_reads_once_with_the_oracle_when_every_configuration_is_derived():
+    # 12 primaries with at most 6 secondaries each: (20, 8) sheds nothing, and
+    # every configuration fits what it holds. Summaries of capacity 9 never shed,
+    # so the oracle skips its third pass.
+    tuples = random_tuple_stream(24, 300, primaries=12, secondaries=6)
+    assert len({x for x, _ in tuples}) == 12
+    source = CountingSource(tuples)
+    rows = sweep(source, "0.1", "0.1", [12, 20], [6, 8])
+    assert source.yielded == 2 * len(tuples)
+    oracle = exact_chh_multipass(tuples, "0.1", "0.1")
+    source = CountingSource(tuples)
+    assert sweep(source, "0.1", "0.1", [12, 20], [6, 8], oracle=oracle) == rows
     assert source.yielded == len(tuples)
+    assert rows == [
+        sweep(tuples, "0.1", "0.1", [s1], [s2], oracle=oracle)[0] for s1 in (12, 20) for s2 in (6, 8)
+    ]
 
 
 def test_sweep_reads_twice_without_heavy_primaries():
@@ -197,3 +221,101 @@ def test_sweep_csv_layout():
     assert len(lines) == 2
     assert lines[1].startswith("10,4,800,")
     assert len(lines[1].split(",")) == 11
+
+
+SHED_KINDS = {
+    "sheds-nothing": (False, False),
+    "sheds-outer": (True, False),
+    "sheds-inner": (False, True),
+    "sheds-both": (True, True),
+}
+
+
+@st.composite
+def shedding_grids(draw, outer, inner):
+    """A stream and a grid whose largest configuration L sheds as ``outer`` and ``inner`` say.
+
+    A head of s2 + 1 secondaries under a fresh primary makes L shed an inner
+    table; a tail of s1 + 1 fresh primaries makes it run an outer round.
+    Without them, L's sizes are raised to at least what the stream holds, so
+    it sheds nothing of that kind.
+    """
+    key = st.integers(0, 5).map(b"%d".__mod__)
+    stream = draw(st.lists(st.tuples(key, key), max_size=40))
+    s1, s2 = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    if inner:
+        stream = [(b"head", b"%d" % i) for i in range(s2 + 1)] + stream
+    else:
+        per_primary = {}
+        for x, y in stream:
+            per_primary.setdefault(x, set()).add(y)
+        s2 = max(s2, *map(len, per_primary.values()), 1) + draw(st.integers(0, 2))
+    if outer:
+        stream += [(b"tail%d" % i, b"0") for i in range(s1 + 1)]
+    else:
+        s1 = max(s1, len({x for x, _ in stream})) + draw(st.integers(0, 2))
+    s1_values = list(dict.fromkeys(draw(st.lists(st.integers(1, s1), max_size=3)) + [s1]))
+    s2_values = list(dict.fromkeys(draw(st.lists(st.integers(1, s2), max_size=3)) + [s2]))
+    return stream, s1_values, s2_values
+
+
+def sketch_state(sketch, stream):
+    """Everything a sketch answers about ``stream``'s keys, with its settled entries."""
+    keys = {x for x, _ in stream} | {b"absent"}
+    pairs = set(stream) | {(b"absent", b"0")}
+    return (
+        sketch.params,
+        sketch.n,
+        sketch.outer_sweeps,
+        sorted((d, sketch.estimate_primary(d)) for d in keys),
+        sorted((pair, sketch.estimate_pair(*pair)) for pair in pairs),
+        [
+            (key, sketch.estimate_primary(key), entry.inner.items_seen, entry.inner.entries())
+            for key, entry in sketch.entries()
+        ],
+    )
+
+
+def check_derived_configurations(stream, s1_values, s2_values):
+    """Sweep rows, and every sketch the rule derives, against directly built sketches."""
+    naive = exact_chh_naive(stream, "1/4", "1/3")
+    rows = sweep(stream, "1/4", "1/3", s1_values, s2_values, oracle=naive)
+    assert rows == sweep(stream, "1/4", "1/3", s1_values, s2_values)
+    assert rows == [
+        sweep(stream, "1/4", "1/3", [s1], [s2], oracle=naive)[0] for s1 in s1_values for s2 in s2_values
+    ]
+
+    largest = build(ChhParams.from_raw("1/4", "1/3", max(s1_values), max(s2_values)), stream)
+    assert largest.derive(largest.params) is not None
+    for s1 in s1_values:
+        for s2 in s2_values:
+            params = ChhParams.from_raw("1/4", "1/3", s1, s2)
+            derived = largest.derive(params)
+            if derived is None:
+                continue
+            direct = build(params, stream)
+            assert sketch_state(derived, stream) == sketch_state(direct, stream)
+            data = sketch_to_bytes(derived)
+            assert data == sketch_to_bytes(direct)
+            assert sketch_state(sketch_from_bytes(data), stream) == sketch_state(direct, stream)
+
+
+@pytest.mark.parametrize("outer, inner", SHED_KINDS.values(), ids=SHED_KINDS)
+@given(data=st.data())
+def test_derived_configurations_match_directly_built_sketches(outer, inner, data):
+    stream, s1_values, s2_values = data.draw(shedding_grids(outer, inner))
+    largest = build(ChhParams.from_raw("1/4", "1/3", max(s1_values), max(s2_values)), stream)
+    assert (largest.outer_sweeps > 0) == outer
+    if not outer:
+        lost = largest.n - sum(entry.inner.total() for _, entry in largest.entries())
+        assert (lost > 0) == inner
+    check_derived_configurations(stream, s1_values, s2_values)
+
+
+@pytest.mark.parametrize("s1_values, s2_values", [([1], [1]), ([1, 3], [2, 1]), ([4, 2], [3])])
+def test_every_configuration_is_derived_from_an_empty_stream(s1_values, s2_values):
+    largest = build(ChhParams.from_raw("1/4", "1/3", max(s1_values), max(s2_values)), [])
+    for s1 in s1_values:
+        for s2 in s2_values:
+            assert largest.derive(ChhParams.from_raw("1/4", "1/3", s1, s2)) is not None
+    check_derived_configurations([], s1_values, s2_values)

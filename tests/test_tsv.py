@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 
 import chh.tsv
 from chh import (
+    InconsistentInputError,
     InvalidParameterError,
     MalformedLineError,
     TsvTupleSource,
     UnsupportedSourceError,
     exact_chh_multipass,
+    sweep,
     write_tuples,
 )
 from conftest import read_by_lines
@@ -56,6 +58,61 @@ def test_source_roundtrip_and_replay(tmp_path):
     assert list(source) == tuples
     assert list(source) == tuples  # replayable
     assert iter(source) is not source
+
+
+class RewrittenSource(TsvTupleSource):
+    """A file source whose file is rewritten with ``data`` as pass ``at`` starts."""
+
+    def __init__(self, path, at, data):
+        super().__init__(path)
+        self.at, self.data, self.started = at, data, 0
+
+    def _blocks(self):
+        self.started += 1
+        if self.started == self.at:
+            self.path.write_bytes(self.data)
+        yield from super()._blocks()
+
+
+# a is heavy and b is heavy with a shed pair summary at phi 0.2/0.5, so
+# `exact` reads three passes; the rewrite keeps every line count.
+THREE_PASS = b"a\tp\n" * 10 + b"b\tq\nb\tr\nb\tq\n" * 3 + b"c\tp\n"
+REWRITTEN = THREE_PASS.replace(b"c\tp", b"c\tq")
+
+
+def test_a_later_pass_over_other_bytes_with_the_same_count_raises(tmp_path):
+    path = tmp_path / "stream.tsv"
+    path.write_bytes(THREE_PASS)
+    source = TsvTupleSource(path)
+    first = list(source)
+    path.write_bytes(THREE_PASS)  # the same bytes again
+    assert list(source) == first
+    path.write_bytes(REWRITTEN)
+    with pytest.raises(InconsistentInputError, match="pass 3 read the same number of tuples as pass 1 but other bytes"):
+        list(source)
+
+
+@pytest.mark.parametrize("at", [2, 3])
+def test_exact_rejects_a_file_rewritten_between_passes(tmp_path, at):
+    path = tmp_path / "stream.tsv"
+    path.write_bytes(THREE_PASS)
+    source = RewrittenSource(path, None, b"")
+    exact_chh_multipass(source, "0.2", "0.5")
+    assert source.started == 3
+    path.write_bytes(THREE_PASS)
+    source = RewrittenSource(path, at, REWRITTEN)
+    with pytest.raises(InconsistentInputError, match=f"pass {at} read the same number"):
+        exact_chh_multipass(source, "0.2", "0.5")
+
+
+def test_sweep_rejects_a_file_rewritten_between_passes(tmp_path):
+    # (2, 1) cannot be read off (4, 2), which holds 3 primaries, so pass 2
+    # feeds it: without the check its row would come from the other stream.
+    path = tmp_path / "stream.tsv"
+    path.write_bytes(THREE_PASS)
+    source = RewrittenSource(path, 2, REWRITTEN)
+    with pytest.raises(InconsistentInputError, match="pass 2 read the same number"):
+        sweep(source, "0.2", "0.5", [2, 4], [1, 2])
 
 
 def test_source_lenient_skips_and_counts(tmp_path):
