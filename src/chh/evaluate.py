@@ -23,6 +23,7 @@ from .oracle import (
     ExactChh,
     ExactCounts,
     TupleSource,
+    _candidate_capacity,
     _candidate_summary,
     _exact_from_candidates,
     _heavy_primaries,
@@ -75,12 +76,13 @@ def primary_error_stats(
 ) -> ErrorStats:
     """Relative undercount (f_d - est_d)/n over the exact heavy primaries."""
     _check_same_stream(exact, sketch)
-    n = exact.n
-    heavy = _heavy_primaries(exact.primary, n, _to_threshold(phi1, "phi1"))
-    errors = [
-        (d, Fraction(count - sketch.estimate_primary(d), n))
-        for d, count in sorted(heavy.items())
-    ]
+    heavy = _heavy_primaries(exact.primary, exact.n, _to_threshold(phi1, "phi1"))
+    return _primary_stats(sorted(heavy.items()), exact.n, sketch)
+
+
+def _primary_stats(heavy: list[tuple[bytes, int]], n: int, sketch: ChhSketch) -> ErrorStats:
+    """`primary_error_stats` over ``heavy``, the exact heavy (d, f_d) sorted by d."""
+    errors = [(d, Fraction(count - sketch.estimate_primary(d), n)) for d, count in heavy]
     # The ceiling is primary_slack(n) / n, taken at n = 1 because n may be 0.
     return _finish(errors, sketch.params.primary_slack(1))
 
@@ -104,9 +106,16 @@ def secondary_error_stats(
     """Relative undercount (f_{d,s} - est_{d,s})/f_d over the exact heavy pairs."""
     _check_same_stream(exact, sketch)
     truth = exact_chh_from_counts(exact, phi1, phi2)
+    return _secondary_stats(truth.primaries, sorted(truth.pairs.items()), sketch)
+
+
+def _secondary_stats(
+    primaries: dict[bytes, int], pairs: list[tuple[tuple[bytes, bytes], int]], sketch: ChhSketch
+) -> ErrorStats:
+    """`secondary_error_stats` over the exact heavy ``pairs``, sorted, under ``primaries``."""
     errors = [
-        ((d, s), Fraction(count - sketch.estimate_pair(d, s), truth.primaries[d]))
-        for (d, s), count in sorted(truth.pairs.items())
+        ((d, s), Fraction(count - sketch.estimate_pair(d, s), primaries[d]))
+        for (d, s), count in pairs
     ]
     return _finish(errors, secondary_theoretical_max(sketch.params))
 
@@ -139,15 +148,18 @@ def sweep(
     carry the tolerances those sizes imply. Every configuration's sizes are
     checked before the first pass over ``source``.
 
-    Pass 1 feeds only the largest configuration, (max s1, max s2), and, when
-    ``oracle`` is not given, pass 1 of :func:`exact_chh_multipass`. Every
-    configuration that `ChhSketch.derive` can read off the largest sketch is
-    derived from it, with no copy. The others are fed in pass 2, in the same
-    loop as the oracle's pass 2; its pass 3 follows when a heavy primary's
-    pair summary shed. So without ``oracle``, ``source`` is read two or three
-    times; with it, once when every configuration is derived and twice
-    otherwise. Memory is the largest sketch plus the sketches that are not
-    derived, held at once.
+    Pass 1 feeds only the largest configuration L, (max s1, max s2). Without
+    ``oracle``, the oracle's primary candidates are `ChhSketch.primary_candidates`
+    of L, which include every heavy primary when max s1 is at least
+    ceil(1/phi1) - 1; below that, pass 1 also feeds the candidate summary of
+    :func:`exact_chh_multipass`. Every configuration that `ChhSketch.derive`
+    can read off L is derived from it, with no copy. The others are fed in
+    pass 2, in the same loop as the oracle's pass 2; its pass 3 follows when
+    a heavy primary's pair summary shed. Pass 2 runs only when a
+    configuration must be fed or, without ``oracle``, there is a candidate;
+    otherwise no primary is heavy, and the counts hold n alone. So
+    ``source`` is read once, twice, or (only without ``oracle``) three
+    times. Memory is L plus the sketches that are not derived, held at once.
     """
     require_replayable(source)
     if not s1_values or not s2_values:
@@ -155,34 +167,48 @@ def sweep(
     configs = [ChhParams.from_raw(phi1, phi2, s1, s2) for s1 in s1_values for s2 in s2_values]
     phi1, phi2 = configs[0].phi1, configs[0].phi2
     largest = ChhSketch(max(configs, key=lambda params: (params.s1, params.s2)))
-    update = largest.update
-    candidates = _candidate_summary(phi1) if oracle is None else None
-    for x, y in source:
-        if candidates is not None:
-            candidates.update(x)
-        update(x, y)
+    summary = None
+    if oracle is None and largest.params.s1 < _candidate_capacity(phi1):
+        summary = _candidate_summary(phi1)
+    if summary is None:
+        largest.consume(source)
+    else:
+        update = largest.update
+        for x, y in source:
+            summary.update(x)
+            update(x, y)
     sketches, fed = [], []
-    for params in configs:
-        sketch = largest.derive(params)
+    for params, sketch in zip(configs, largest._derive_all(configs)):
         if sketch is None:
             sketch = ChhSketch(params)
             fed.append(sketch.update)
         sketches.append(sketch)
     pass2 = chain.from_iterable(_fed_blocks(source, fed)) if fed else None
-    if oracle is None:
-        oracle = _exact_from_candidates(source, candidates, phi1, phi2, pass2)
-    elif pass2 is not None:
-        deque(pass2, 0)
+    if oracle is not None:
+        if pass2 is not None:
+            deque(pass2, 0)
+        truth = exact_chh_from_counts(oracle.counts, phi1, phi2)
+    else:
+        if summary is None:
+            candidates = largest.primary_candidates(phi1)
+        else:
+            candidates = [d for d, _ in summary.entries()]
+        if candidates or fed:
+            truth = _exact_from_candidates(source, candidates, largest.n, phi1, phi2, pass2)
+        else:
+            truth = ExactChh({}, {}, ExactCounts(largest.n, {}, {}))
+    heavy, pairs = sorted(truth.primaries.items()), sorted(truth.pairs.items())
     rows = []
     for sketch in sketches:
+        _check_same_stream(truth.counts, sketch)
         report = sketch.report()
         rows.append(
             SweepRow(
                 s1=sketch.params.s1,
                 s2=sketch.params.s2,
                 n=sketch.n,
-                primary=primary_error_stats(oracle.counts, sketch, phi1),
-                secondary=secondary_error_stats(oracle.counts, sketch, phi1, phi2),
+                primary=_primary_stats(heavy, sketch.n, sketch),
+                secondary=_secondary_stats(truth.primaries, pairs, sketch),
                 reported_primaries=len(report.primaries),
                 reported_pairs=sum(len(p.secondaries) for p in report.primaries),
             )

@@ -131,35 +131,45 @@ def exact_chh_multipass(
     candidates = _candidate_summary(phi1)
     for x, _ in source:
         candidates.update(x)
-    return _exact_from_candidates(source, candidates, phi1, phi2)
+    keys = [d for d, _ in candidates.entries()]
+    return _exact_from_candidates(source, keys, candidates.items_seen, phi1, phi2)
+
+
+def _candidate_capacity(phi: Fraction) -> int:
+    """ceil(1/phi) - 1, the capacity of a candidate summary; see :func:`exact_chh_multipass`."""
+    return math.ceil(1 / phi) - 1
 
 
 def _candidate_summary(phi: Fraction) -> MgSummary:
-    """An empty candidate summary of capacity ceil(1/phi) - 1; see :func:`exact_chh_multipass`."""
-    return MgSummary(math.ceil(1 / phi) - 1)
+    """An empty candidate summary of capacity :func:`_candidate_capacity`."""
+    return MgSummary(_candidate_capacity(phi))
 
 
 def _exact_from_candidates(
     source: TupleSource,
-    candidates: MgSummary,
+    candidates: Iterable[bytes],
+    n1: int,
     phi1: Fraction,
     phi2: Fraction,
     pass2: TupleSource | None = None,
 ) -> ExactChh:
     """Passes 2 and, when needed, 3 of :func:`exact_chh_multipass`.
 
-    Pass 1 has filled ``candidates``; see the caller for when pass 3 runs.
-    Pass 2 reads ``pass2`` when it is given: one pass over ``source`` that
-    also does other work per tuple.
+    Pass 1 read ``n1`` tuples and found ``candidates``, distinct primary keys
+    that include every primary above phi1 * n1: the keys of the caller's
+    candidate summary, or `ChhSketch.primary_candidates` of a large enough
+    sketch. See :func:`exact_chh_multipass` for when pass 3 runs. Pass 2
+    reads ``pass2`` when it is given: one pass over ``source`` that also does
+    other work per tuple.
     """
-    secondary_candidates = {d: _candidate_summary(phi2) for d, _ in candidates.entries()}
+    secondary_candidates = {d: _candidate_summary(phi2) for d in candidates}
     n = 0
     for x, y in source if pass2 is None else pass2:
         n += 1
         summary = secondary_candidates.get(x)
         if summary is not None:
             summary.update(y)
-    check_replay(candidates.items_seen, n, 2)
+    check_replay(n1, n, 2)
     primary_counts = {d: summary.items_seen for d, summary in secondary_candidates.items()}
     heavy = _heavy_primaries(primary_counts, n, phi1)
 

@@ -45,7 +45,7 @@ from typing import Iterable
 
 from .errors import SnapshotFormatError
 from .mg import MgSummary
-from .params import ChhParams
+from .params import ChhParams, FractionLike, _to_threshold
 
 
 class PrimaryEntry:
@@ -181,22 +181,27 @@ class ChhSketch:
         L's tables under ``params``, with no copy: it must take no update,
         and L none while it is in use.
         """
+        return self._derive_all([params])[0]
+
+    def _derive_all(self, configs: list[ChhParams]) -> list[ChhSketch | None]:
+        """`derive` for each of ``configs``, scanning the inner tables at most once."""
         own, rounds = self.params, self.outer_sweeps
-        if params.s1 != own.s1 and (rounds or len(self._table) > params.s1):
-            return None
-        if params.s2 != own.s2:
-            if rounds:
-                return None
-            inners = [entry.inner for entry in self._table.values()]
-            if (
-                sum(map(MgSummary.total, inners)) != self.n
-                or max(map(len, inners), default=0) > params.s2
-            ):
-                return None
-        derived = ChhSketch(params)
-        derived.n, derived.outer_sweeps = self.n, rounds
-        derived._table, derived._calendar = self._table, self._calendar
-        return derived
+        fill = None  # (sum of inner totals, largest inner size), read only if no round ran
+        derived_all = []
+        for params in configs:
+            fits = params.s1 == own.s1 or (not rounds and len(self._table) <= params.s1)
+            if fits and params.s2 != own.s2:
+                if not rounds and fill is None:
+                    inners = [entry.inner for entry in self._table.values()]
+                    fill = sum(map(MgSummary.total, inners)), max(map(len, inners), default=0)
+                fits = not rounds and fill[0] == self.n and fill[1] <= params.s2
+            derived = None
+            if fits:
+                derived = ChhSketch(params)
+                derived.n, derived.outer_sweeps = self.n, rounds
+                derived._table, derived._calendar = self._table, self._calendar
+            derived_all.append(derived)
+        return derived_all
 
     def update(self, x: bytes, y: bytes) -> None:
         """Absorb one (x, y) tuple."""
@@ -247,6 +252,29 @@ class ChhSketch:
         """Estimated frequency of primary value ``d`` (0 when not retained)."""
         entry = self._table.get(d)
         return 0 if entry is None else entry.due - self.outer_sweeps
+
+    def primary_candidates(self, phi1: FractionLike) -> list[bytes]:
+        """The retained primaries whose ``due`` exceeds floor(phi1 * n), unsorted.
+
+        ``due`` is ``est_d + outer_sweeps``. With f_d the true count of d so
+        far, and R = ``outer_sweeps``:
+        - a retained d has ``f_d <= est_d + R = due``, since each round takes
+          at most one unit from d, and nothing else takes any;
+        - a d that is not retained has ``f_d <= R``: every unit it received
+          has been taken, and no round took two;
+        - each round takes s1 + 1 units, so ``(s1 + 1) * R <= n``; when
+          ``s1 >= ceil(1/phi1) - 1``, s1 + 1 >= 1/phi1 and R <= phi1 * n, so
+          no primary that is not retained is heavy (f_d > phi1 * n);
+        - the dues sum to ``n - (s1 + 1) * R + len(self) * R <= n``, and each
+          candidate's due is above phi1 * n, so there are fewer than 1/phi1
+          candidates: at most ``ceil(1/phi1) - 1``.
+        So under that size every heavy primary is a candidate, since an
+        integer f_d exceeds phi1 * n exactly when it exceeds floor(phi1 * n).
+        The compare is on integers, and nothing is settled.
+        """
+        phi1 = _to_threshold(phi1, "phi1")
+        floor = phi1.numerator * self.n // phi1.denominator
+        return [key for key, entry in self._table.items() if entry.due > floor]
 
     def estimate_pair(self, d: bytes, s: bytes) -> int:
         """Estimated frequency of the pair (d, s) (0 when not retained).
