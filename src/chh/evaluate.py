@@ -77,11 +77,12 @@ def primary_error_stats(
     """Relative undercount (f_d - est_d)/n over the exact heavy primaries."""
     _check_same_stream(exact, sketch)
     heavy = _heavy_primaries(exact.primary, exact.n, _to_threshold(phi1, "phi1"))
-    return _primary_stats(sorted(heavy.items()), exact.n, sketch)
+    return _primary_stats(sorted(heavy.items()), sketch)
 
 
-def _primary_stats(heavy: list[tuple[bytes, int]], n: int, sketch: ChhSketch) -> ErrorStats:
+def _primary_stats(heavy: list[tuple[bytes, int]], sketch: ChhSketch) -> ErrorStats:
     """`primary_error_stats` over ``heavy``, the exact heavy (d, f_d) sorted by d."""
+    n = sketch.n
     errors = [(d, Fraction(count - sketch.estimate_primary(d), n)) for d, count in heavy]
     # The ceiling is primary_slack(n) / n, taken at n = 1 because n may be 0.
     return _finish(errors, sketch.params.primary_slack(1))
@@ -207,7 +208,7 @@ def sweep(
                 s1=sketch.params.s1,
                 s2=sketch.params.s2,
                 n=sketch.n,
-                primary=_primary_stats(heavy, sketch.n, sketch),
+                primary=_primary_stats(heavy, sketch),
                 secondary=_secondary_stats(truth.primaries, pairs, sketch),
                 reported_primaries=len(report.primaries),
                 reported_pairs=sum(len(p.secondaries) for p in report.primaries),

@@ -111,6 +111,21 @@ def test_multipass_commands_exit_2_on_a_pipe(tmp_path, command):
     assert not sweep.exists()
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+def test_evaluate_reads_a_pipe_when_no_later_pass_runs(tmp_path):
+    # Four primaries of one tuple each: (8, 2) sheds nothing, so every row is
+    # read off it, and no primary's due (1) exceeds floor(0.3 * 4).
+    data = b"a\tx\nb\ty\nc\tx\nd\ty\n"
+    stream = tmp_path / "stream.tsv"
+    stream.write_bytes(data)
+    args = ("--phi1", "0.3", "--phi2", "0.3", "--s1-list", "4,8", "--s2-list", "1,2")
+    from_file, from_pipe = tmp_path / "file.csv", tmp_path / "pipe.csv"
+    assert run_cli("evaluate", "--in", str(stream), *args, "--out", str(from_file)).returncode == 0
+    result = run_cli("evaluate", "--in", "/dev/stdin", *args, "--out", str(from_pipe), stdin=data)
+    assert result.returncode == 0, result.stderr
+    assert from_pipe.read_bytes() == from_file.read_bytes()
+
+
 def test_evaluate_writes_csv(tmp_path):
     stream = tmp_path / "stream.tsv"
     write_stream(stream, [(b"a", b"b")] * 30 + [(b"c", b"d")] * 10)

@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import chh.evaluate
 from chh import (
     ChhParams,
     ChhSketch,
@@ -198,6 +200,39 @@ def test_sweep_reads_once_with_the_oracle_when_every_configuration_is_derived():
     assert rows == [
         sweep(tuples, "0.1", "0.1", [s1], [s2], oracle=oracle)[0] for s1 in (12, 20) for s2 in (6, 8)
     ]
+
+
+def test_sweep_reads_once_without_the_oracle_when_nothing_is_a_candidate(monkeypatch):
+    # 12 primaries of 25 tuples, each under 5 secondaries: (20, 8) sheds nothing,
+    # so every configuration is derived. Its s1 is at least ceil(1/phi1) - 1 = 9,
+    # so its dues give the candidates, and no due (25) exceeds floor(0.1 * 300).
+    tuples = [(b"%d" % (i % 12), b"%d" % (i % 5)) for i in range(300)]
+    naive = exact_chh_naive(tuples, "0.1", "0.1")
+    expected = sweep(tuples, "0.1", "0.1", [12, 20], [5, 8], oracle=naive)
+    monkeypatch.setattr(chh.evaluate, "_candidate_summary", None)
+    source = CountingSource(tuples)
+    assert sweep(source, "0.1", "0.1", [12, 20], [5, 8]) == expected
+    assert source.yielded == len(tuples)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_sweep_below_the_candidate_bound_feeds_the_candidate_summary(monkeypatch, seed):
+    # With phi1 = 1/20, the largest sketch's dues give the candidates only from
+    # s1 = 19 on. At s1 = 10 a primary it dropped may be heavy, so pass 1 also
+    # feeds the oracle's own candidate summary.
+    rng = random.Random(seed)
+    keys = [b"a"] * 6 + [b"b"] * 3 + [b"%d" % i for i in range(40)]
+    tuples = [(rng.choice(keys), b"%d" % rng.randrange(8)) for _ in range(600)]
+    made = []
+    summary = chh.evaluate._candidate_summary
+    monkeypatch.setattr(chh.evaluate, "_candidate_summary", lambda phi: made.append(summary(phi)) or made[-1])
+    source = CountingSource(tuples)
+    rows = sweep(source, "1/20", "0.2", [5, 10], [3, 6])
+    assert [summary.items_seen for summary in made] == [len(tuples)]
+    assert source.yielded >= 2 * len(tuples)
+    naive = exact_chh_naive(tuples, "1/20", "0.2")
+    assert naive.primaries
+    assert rows == sweep(tuples, "1/20", "0.2", [5, 10], [3, 6], oracle=naive)
 
 
 def test_sweep_reads_twice_without_heavy_primaries():

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 from fractions import Fraction
 
@@ -7,7 +8,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import chh.mg
-from chh import ChhParams, ChhSketch, MgSummary, sketch_from_bytes, sketch_to_bytes, solve_params
+from chh import (
+    ChhParams,
+    ChhSketch,
+    MgSummary,
+    exact_counts_naive,
+    sketch_from_bytes,
+    sketch_to_bytes,
+    solve_params,
+)
 from conftest import random_tuple_stream, true_counts
 
 pair = st.tuples(st.binary(max_size=2), st.binary(max_size=2))
@@ -160,6 +169,31 @@ def test_estimates_undercount_within_bounds(stream, s1, s2):
         assert est <= fds
         # est >= fds - fd/s2 - n/s1, cross-multiplied by s1*s2
         assert est * s1 * s2 >= fds * s1 * s2 - primary[d] * s1 - n * s2
+
+
+@given(st.data())
+def test_primary_candidates_bound_every_true_count_and_hold_every_heavy_primary(data):
+    key = st.integers(0, 7).map(b"%d".__mod__)
+    stream = data.draw(st.lists(st.tuples(key, key), max_size=80))
+    s1 = data.draw(small_sizes)
+    # s1 + 1 fresh primaries in a row overflow the outer table at least once.
+    at = data.draw(st.integers(0, len(stream)))
+    stream[at:at] = [(b"fresh%d" % i, b"0") for i in range(s1 + 1)]
+    phi1 = data.draw(st.fractions(Fraction(1, s1 + 1), Fraction(9, 10), max_denominator=12))
+    sketch = run_sketch(ChhParams.from_raw(phi1, "1/2", s1, data.draw(small_sizes)), stream)
+    assert sketch.outer_sweeps > 0
+    # s1 >= ceil(1/phi1) - 1, since phi1 >= 1/(s1 + 1).
+    counts = exact_counts_naive(stream)
+    heavy = {d for d, f in counts.primary.items() if f > phi1 * counts.n}
+    for loaded in (sketch, sketch_from_bytes(sketch_to_bytes(sketch))):
+        rounds = loaded.outer_sweeps
+        due = {d: loaded.estimate_primary(d) + rounds for d, _ in loaded.entries()}
+        for d, f in counts.primary.items():
+            assert f <= due.get(d, rounds)
+        candidates = loaded.primary_candidates(phi1)
+        assert sorted(candidates) == sorted(d for d, v in due.items() if v > phi1 * counts.n)
+        assert heavy <= set(candidates)
+        assert len(candidates) <= math.ceil(1 / phi1) - 1
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4])
