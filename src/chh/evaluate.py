@@ -24,7 +24,6 @@ from .oracle import (
     ExactCounts,
     TupleSource,
     _candidate_capacity,
-    _candidate_summary,
     _exact_from_candidates,
     _heavy_primaries,
     exact_chh_from_counts,
@@ -149,55 +148,40 @@ def sweep(
     carry the tolerances those sizes imply. Every configuration's sizes are
     checked before the first pass over ``source``.
 
-    Pass 1 feeds only the largest configuration L, (max s1, max s2). Without
-    ``oracle``, the oracle's primary candidates are `ChhSketch.primary_candidates`
-    of L, which include every heavy primary when max s1 is at least
-    ceil(1/phi1) - 1; below that, pass 1 also feeds the candidate summary of
-    :func:`exact_chh_multipass`. Every configuration that `ChhSketch.derive`
-    can read off L is derived from it, with no copy. The others are fed in
-    pass 2, in the same loop as the oracle's pass 2; its pass 3 follows when
-    a heavy primary's pair summary shed. Pass 2 runs only when a
-    configuration must be fed or, without ``oracle``, there is a candidate;
-    otherwise no primary is heavy, and the counts hold n alone. So
-    ``source`` is read once, twice, or (only without ``oracle``) three
-    times. Memory is L plus the sketches that are not derived, held at once.
+    Pass 1 feeds only one sketch L, of sizes (max s1, max s2). Without
+    ``oracle``, L's s1 is raised to at least ceil(1/phi1) - 1, and the
+    oracle's primary candidates are `ChhSketch.primary_candidates` of L,
+    which then include every heavy primary; an L so raised is not a row.
+    Every configuration that `ChhSketch.derive` can read off L is derived
+    from it, with no copy. The others are fed in pass 2, in the same loop as
+    the oracle's pass 2; its pass 3 follows when a heavy primary's pair
+    summary shed. Pass 2 runs only when a configuration must be fed or,
+    without ``oracle``, there is a candidate. So ``source`` is read once,
+    twice, or (only without ``oracle``) three times. Memory is L plus the
+    sketches that are not derived, held at once.
     """
     require_replayable(source)
     if not s1_values or not s2_values:
         raise InvalidParameterError("s1_values and s2_values must be non-empty")
     configs = [ChhParams.from_raw(phi1, phi2, s1, s2) for s1 in s1_values for s2 in s2_values]
     phi1, phi2 = configs[0].phi1, configs[0].phi2
-    largest = ChhSketch(max(configs, key=lambda params: (params.s1, params.s2)))
-    summary = None
-    if oracle is None and largest.params.s1 < _candidate_capacity(phi1):
-        summary = _candidate_summary(phi1)
-    if summary is None:
-        largest.consume(source)
-    else:
-        update = largest.update
-        for x, y in source:
-            summary.update(x)
-            update(x, y)
+    s1 = max(s1_values) if oracle is not None else max(*s1_values, _candidate_capacity(phi1))
+    largest = ChhSketch(ChhParams.from_raw(phi1, phi2, s1, max(s2_values)))
+    largest.consume(source)
     sketches, fed = [], []
-    for params, sketch in zip(configs, largest._derive_all(configs)):
+    for params, sketch in zip(configs, largest.derive(configs)):
         if sketch is None:
             sketch = ChhSketch(params)
             fed.append(sketch.update)
         sketches.append(sketch)
     pass2 = chain.from_iterable(_fed_blocks(source, fed)) if fed else None
-    if oracle is not None:
+    if oracle is None:
+        candidates = largest.primary_candidates()
+        truth = _exact_from_candidates(source, candidates, largest.n, phi1, phi2, pass2)
+    else:
         if pass2 is not None:
             deque(pass2, 0)
         truth = exact_chh_from_counts(oracle.counts, phi1, phi2)
-    else:
-        if summary is None:
-            candidates = largest.primary_candidates(phi1)
-        else:
-            candidates = [d for d, _ in summary.entries()]
-        if candidates or fed:
-            truth = _exact_from_candidates(source, candidates, largest.n, phi1, phi2, pass2)
-        else:
-            truth = ExactChh({}, {}, ExactCounts(largest.n, {}, {}))
     heavy, pairs = sorted(truth.primaries.items()), sorted(truth.pairs.items())
     rows = []
     for sketch in sketches:

@@ -3,10 +3,12 @@
 Exact answers need more than one pass (or unbounded memory), so these
 routines are validation tools, not streaming algorithms. Two routes exist
 and must agree: a naive full count of every value and pair, and a scheme of
-two or three passes that narrows each dimension to a bounded candidate set
+one to three passes that narrows each dimension to a bounded candidate set
 with an `MgSummary` and then counts only the candidates exactly, holding at
 most ceil(1/phi1) - 1 primaries and (ceil(1/phi1) - 1) * (ceil(1/phi2) - 1)
-pairs. The third pass runs only when a heavy primary's pair summary shed.
+pairs. A later pass runs only when it has work: the second when pass 1 left
+a primary candidate (or `evaluate.sweep` feeds sketches in it), the third
+when a heavy primary's pair summary shed.
 """
 
 from __future__ import annotations
@@ -104,7 +106,7 @@ def exact_chh_naive(source: TupleSource, phi1: FractionLike, phi2: FractionLike)
 def exact_chh_multipass(
     source: TupleSource, phi1: FractionLike, phi2: FractionLike
 ) -> ExactChh:
-    """Exact heavy pairs in two or three passes and bounded memory.
+    """Exact heavy pairs in one to three passes and bounded memory.
 
     Both candidate summaries have capacity ceil(1/phi) - 1 for their phi.
     That suffices: a summary of capacity c that has seen m items undercounts
@@ -113,7 +115,8 @@ def exact_chh_multipass(
     a positive count. Since phi < 1, the capacity is at least 1.
 
     Pass 1 collects primary candidates, so no value above the phi1 threshold
-    is missed. Pass 2 counts each candidate exactly and feeds its
+    is missed; when the summary ends empty, no primary is heavy and pass 1
+    is the only one. Pass 2 counts each candidate exactly and feeds its
     secondaries to its own summary, which sees exactly the candidate's
     sub-stream, so no secondary above phi2 * f_d is missed. Only heavy
     primaries keep their candidate pairs. A summary that never shed holds
@@ -147,21 +150,24 @@ def _candidate_summary(phi: Fraction) -> MgSummary:
 
 def _exact_from_candidates(
     source: TupleSource,
-    candidates: Iterable[bytes],
+    candidates: list[bytes],
     n1: int,
     phi1: Fraction,
     phi2: Fraction,
     pass2: TupleSource | None = None,
 ) -> ExactChh:
-    """Passes 2 and, when needed, 3 of :func:`exact_chh_multipass`.
+    """Passes 2 and 3 of :func:`exact_chh_multipass`, each run only when it has work.
 
     Pass 1 read ``n1`` tuples and found ``candidates``, distinct primary keys
     that include every primary above phi1 * n1: the keys of the caller's
-    candidate summary, or `ChhSketch.primary_candidates` of a large enough
-    sketch. See :func:`exact_chh_multipass` for when pass 3 runs. Pass 2
-    reads ``pass2`` when it is given: one pass over ``source`` that also does
-    other work per tuple.
+    candidate summary, or `ChhSketch.primary_candidates` of a sketch with
+    s1 >= ceil(1/phi1) - 1. Pass 2 reads ``pass2`` when it is given: one
+    pass over ``source`` that also does other work per tuple. With no
+    candidate and no ``pass2``, no primary is heavy, and pass 2 does not
+    run. See :func:`exact_chh_multipass` for when pass 3 runs.
     """
+    if not candidates and pass2 is None:
+        return exact_chh_from_counts(ExactCounts(n1, {}, {}), phi1, phi2)
     secondary_candidates = {d: _candidate_summary(phi2) for d in candidates}
     n = 0
     for x, y in source if pass2 is None else pass2:

@@ -45,7 +45,7 @@ from typing import Iterable
 
 from .errors import SnapshotFormatError
 from .mg import MgSummary
-from .params import ChhParams, FractionLike, _to_threshold
+from .params import ChhParams
 
 
 class PrimaryEntry:
@@ -155,8 +155,8 @@ class ChhSketch:
     def __len__(self) -> int:
         return len(self._table)
 
-    def derive(self, params: ChhParams) -> ChhSketch | None:
-        """The sketch ``params`` would have built from this sketch's stream, or None.
+    def derive(self, configs: list[ChhParams]) -> list[ChhSketch | None]:
+        """For each of ``configs``, the sketch it would have built from this stream, or None.
 
         Write L for this sketch, with sizes (S1, S2), and R for a sketch with
         sizes (r1, r2) fed the same stream. R is read off L when both tests
@@ -176,15 +176,12 @@ class ChhSketch:
         only grew and never exceeded its final size; if no final size exceeds
         r2, neither sketch's inner test ever fires. Otherwise both tests are
         the same test.
-        The rule reads ``outer_sweeps`` and ``len`` first, and an inner table
-        only when L ran no round, so it settles nothing. The result shares
-        L's tables under ``params``, with no copy: it must take no update,
-        and L none while it is in use.
+        The rule reads ``outer_sweeps`` and ``len`` first, and the inner
+        tables only when L ran no round, at most once for all of ``configs``,
+        so it settles nothing. Each result shares L's tables under its
+        params, with no copy: it must take no update, and L none while it is
+        in use.
         """
-        return self._derive_all([params])[0]
-
-    def _derive_all(self, configs: list[ChhParams]) -> list[ChhSketch | None]:
-        """`derive` for each of ``configs``, scanning the inner tables at most once."""
         own, rounds = self.params, self.outer_sweeps
         fill = None  # (sum of inner totals, largest inner size), read only if no round ran
         derived_all = []
@@ -253,7 +250,7 @@ class ChhSketch:
         entry = self._table.get(d)
         return 0 if entry is None else entry.due - self.outer_sweeps
 
-    def primary_candidates(self, phi1: FractionLike) -> list[bytes]:
+    def primary_candidates(self) -> list[bytes]:
         """The retained primaries whose ``due`` exceeds floor(phi1 * n), unsorted.
 
         ``due`` is ``est_d + outer_sweeps``. With f_d the true count of d so
@@ -270,9 +267,10 @@ class ChhSketch:
           candidates: at most ``ceil(1/phi1) - 1``.
         So under that size every heavy primary is a candidate, since an
         integer f_d exceeds phi1 * n exactly when it exceeds floor(phi1 * n).
-        The compare is on integers, and nothing is settled.
+        phi1 is this sketch's own; the compare is on integers, and nothing is
+        settled.
         """
-        phi1 = _to_threshold(phi1, "phi1")
+        phi1 = self.params.phi1
         floor = phi1.numerator * self.n // phi1.denominator
         return [key for key, entry in self._table.items() if entry.due > floor]
 

@@ -1,4 +1,6 @@
 import importlib.util
+import json
+import types
 from pathlib import Path
 
 import pytest
@@ -138,3 +140,32 @@ def test_bad_workload_plan_exits_two_before_any_run(monkeypatch, tmp_path, capsy
     assert excinfo.value.code == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_each_checkout_runs_under_its_own_fresh_bytecode_cache(monkeypatch, tmp_path):
+    calls = []
+
+    def fake_run(command, cwd, env, **kwargs):
+        cache = Path(env["PYTHONPYCACHEPREFIX"])
+        calls.append((Path(cwd), cache, cache.is_dir() and not any(cache.iterdir()), env["MARK"]))
+        detail = {"detail": {"provenance": {"git_sha": "sha"}, "digests": {"csv": "d"}}}
+        result = {"correct": True, "failed": 0, "metrics": {"evaluate_s": {"value": 1.0, "unit": "s"}}}
+        return types.SimpleNamespace(stdout=json.dumps(detail) + "\n" + json.dumps(result) + "\n")
+
+    monkeypatch.setattr(bench_ab.subprocess, "run", fake_run)
+    monkeypatch.setenv("MARK", "passed through")
+    monkeypatch.delenv("PYTHONPYCACHEPREFIX", raising=False)
+    parent, out = tmp_path / "parent", tmp_path / "bench.json"
+    parent.mkdir()
+    assert bench_ab.main(["--parent", str(parent), "--out", str(out), "--pairs", "zipf=2"]) == 0
+    change = _PATH.parents[1]
+    assert [cwd for cwd, *_ in calls] == [parent, change, change, parent]
+    assert all(empty and mark == "passed through" for *_, empty, mark in calls)
+    caches = {cwd: {cache for c, cache, *_ in calls if c == cwd} for cwd in (parent, change)}
+    assert all(len(paths) == 1 for paths in caches.values())
+    (parent_cache,), (change_cache,) = caches.values()
+    assert parent_cache != change_cache
+    for cache in (parent_cache, change_cache):
+        assert parent not in cache.parents and change not in cache.parents
+        assert not cache.exists()
+    assert json.loads(out.read_text())["digests_identical"] is True

@@ -126,6 +126,16 @@ def test_evaluate_reads_a_pipe_when_no_later_pass_runs(tmp_path):
     assert from_pipe.read_bytes() == from_file.read_bytes()
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+def test_exact_reads_a_pipe_when_no_primary_is_a_candidate():
+    # Four primaries of one tuple each leave the candidate summary of capacity
+    # ceil(1/0.3) - 1 = 3 empty, so no later pass runs.
+    result = run_cli("exact", "--in", "/dev/stdin", "--phi1", "0.3", "--phi2", "0.3",
+                     stdin=b"a\tx\nb\ty\nc\tx\nd\ty\n")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == b""
+
+
 def test_evaluate_writes_csv(tmp_path):
     stream = tmp_path / "stream.tsv"
     write_stream(stream, [(b"a", b"b")] * 30 + [(b"c", b"d")] * 10)

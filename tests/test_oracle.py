@@ -111,8 +111,8 @@ def test_multipass_reads_the_source_three_times():
 @pytest.mark.parametrize(
     "tuples, phi1, phi2, reads",
     [
-        # no heavy primary: nothing to recount
-        ([(str(i).encode(), b"y") for i in range(10) for _ in range(10)], "0.2", "0.5", 2),
+        # the candidate summary ends empty: no primary is heavy, and pass 1 is the only one
+        ([(str(i).encode(), b"y") for i in range(10) for _ in range(10)], "0.2", "0.5", 1),
         # every heavy primary has at most 4 secondaries, under capacity-4 summaries
         (random_tuple_stream(6, 400, primaries=3, secondaries=4), "0.1", "0.2", 2),
         # a fits its capacity-1 summary, b sheds: b's pairs are recounted
@@ -124,6 +124,8 @@ def test_multipass_reads_the_source_three_times():
             "0.5",
             3,
         ),
+        # a and d stay candidates, but a's 2 of 5 tuples is not above 0.4 * 5
+        ([(b"a", b"y")] * 2 + [(b"b", b"y"), (b"c", b"y"), (b"d", b"y")], "0.4", "0.5", 2),
     ],
 )
 def test_multipass_skips_the_third_read_when_heavy_summaries_did_not_shed(

@@ -190,7 +190,7 @@ def test_primary_candidates_bound_every_true_count_and_hold_every_heavy_primary(
         due = {d: loaded.estimate_primary(d) + rounds for d, _ in loaded.entries()}
         for d, f in counts.primary.items():
             assert f <= due.get(d, rounds)
-        candidates = loaded.primary_candidates(phi1)
+        candidates = loaded.primary_candidates()
         assert sorted(candidates) == sorted(d for d, v in due.items() if v > phi1 * counts.n)
         assert heavy <= set(candidates)
         assert len(candidates) <= math.ceil(1 / phi1) - 1
