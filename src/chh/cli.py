@@ -3,7 +3,7 @@
 Subcommands: solve-params, generate, build, report, exact, evaluate. Output
 is deterministic byte for byte: identical inputs and flags always produce
 identical bytes, including iteration order. Exit codes: 0 success, 1 usage
-error, 2 data error.
+error, 2 data error. Each command imports only the modules it runs.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import (
     InconsistentInputError,
@@ -20,13 +20,11 @@ from .errors import (
     SnapshotFormatError,
     UnsupportedSourceError,
 )
-from .evaluate import sweep, write_sweep_csv
-from .oracle import exact_chh_multipass
-from .params import ChhParams, solve_params, to_fraction
-from .sketch import ChhReport, ChhSketch
-from .snapshot import load_sketch, save_sketch
-from .tsv import TsvTupleSource, write_tuples
-from .workload import ZipfWorkloadSpec, generate_zipf
+
+if TYPE_CHECKING:
+    from .params import ChhParams
+    from .sketch import ChhReport
+    from .tsv import TsvTupleSource
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -97,12 +95,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_solve_params(args) -> int:
+    from .params import solve_params
+
     params = solve_params(args.phi1, args.phi2, args.eps1, args.eps2)
     print(f"s1={params.s1} s2={params.s2} case={params.case}")
     return EXIT_OK
 
 
 def _cmd_generate(args) -> int:
+    from .tsv import write_tuples
+    from .workload import ZipfWorkloadSpec, generate_zipf
+
     spec = ZipfWorkloadSpec(
         tuple_count=args.n,
         primary_domain=args.primary_domain,
@@ -122,6 +125,8 @@ def _cmd_generate(args) -> int:
 
 
 def _build_params(args) -> ChhParams:
+    from .params import ChhParams, solve_params, to_fraction
+
     raw = args.s1 is not None or args.s2 is not None
     if raw:
         if args.s1 is None or args.s2 is None:
@@ -155,6 +160,10 @@ def _check_out(path: str) -> None:
 
 
 def _cmd_build(args) -> int:
+    from .sketch import ChhSketch
+    from .snapshot import save_sketch
+    from .tsv import TsvTupleSource
+
     params = _build_params(args)
     _check_out(args.out)
     sketch = ChhSketch(params)
@@ -200,6 +209,8 @@ def _format_report_csv(report: ChhReport) -> bytes:
 
 
 def _cmd_report(args) -> int:
+    from .snapshot import load_sketch
+
     sketch = load_sketch(args.sketch)
     report = sketch.report()
     payload = (
@@ -211,6 +222,9 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_exact(args) -> int:
+    from .oracle import exact_chh_multipass
+    from .tsv import TsvTupleSource
+
     source = TsvTupleSource(args.input)
     result = exact_chh_multipass(source, args.phi1, args.phi2)
     _warn_skipped(source)
@@ -236,6 +250,9 @@ def _parse_int_list(text: str, name: str) -> list[int]:
 
 
 def _cmd_evaluate(args) -> int:
+    from .evaluate import sweep, write_sweep_csv
+    from .tsv import TsvTupleSource
+
     s1_values = _parse_int_list(args.s1_list, "--s1-list")
     s2_values = _parse_int_list(args.s2_list, "--s2-list")
     _check_out(args.out)

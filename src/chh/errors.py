@@ -1,4 +1,4 @@
-"""Exception types shared across the package, plus its positive-integer and replay checks.
+"""Exception types shared across the package, its positive-integer and replay checks, and `Frozen`.
 
 The CLI maps these onto exit codes: parameter problems are usage errors, and
 malformed input and inconsistent artifacts are data errors.
@@ -57,3 +57,43 @@ def check_replay(first: int, read: int, which: int) -> None:
             f"pass 1 read {first} tuples but pass {which} read {read}; the input must "
             "read the same on every pass, so it cannot be a pipe or a FIFO"
         )
+
+
+class Frozen:
+    """Base of the package's immutable value classes, whose ``__slots__`` name their fields.
+
+    A subclass checks its arguments in ``__init__`` and then stores them with
+    `_set`. Instances compare and hash by class and field values, and pickle
+    and copy through ``__init__``, so its checks run again.
+    """
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        """Store ``values`` in the fields, in ``__slots__`` order."""
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"

@@ -12,11 +12,10 @@ parameters, read off the `ChhParams` slack methods: ``primary_slack(1)``, or
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice, starmap
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .errors import InconsistentInputError, InvalidParameterError
 from .oracle import (
@@ -38,8 +37,7 @@ ErrorItem = Union[bytes, tuple[bytes, bytes]]
 FEED_TUPLES = 1024
 
 
-@dataclass
-class ErrorStats:
+class ErrorStats(NamedTuple):
     """Per-item relative undercounts plus their max, mean, and ceiling.
 
     A measurement over no items reports max and mean as 0.
@@ -120,8 +118,7 @@ def _secondary_stats(
     return _finish(errors, secondary_theoretical_max(sketch.params))
 
 
-@dataclass
-class SweepRow:
+class SweepRow(NamedTuple):
     """One sweep configuration with its measured and theoretical errors."""
 
     s1: int

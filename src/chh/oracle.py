@@ -14,9 +14,8 @@ when a heavy primary's pair summary shed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import UnsupportedSourceError, check_replay
 from .mg import MgSummary
@@ -25,8 +24,7 @@ from .params import FractionLike, to_thresholds
 TupleSource = Iterable[tuple[bytes, bytes]]
 
 
-@dataclass
-class ExactCounts:
+class ExactCounts(NamedTuple):
     """True frequencies: every counted primary value and (primary, secondary) pair.
 
     Produced complete by :func:`exact_counts_naive`; the multipass route fills
@@ -39,8 +37,7 @@ class ExactCounts:
     pairs: dict[tuple[bytes, bytes], int]
 
 
-@dataclass
-class ExactChh:
+class ExactChh(NamedTuple):
     """Exact heavy primaries and exact correlated heavy pairs, with counts.
 
     Membership uses the strict definitions, applied by

@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from typing import Literal, Union
 
-from .errors import InvalidParameterError, _shown, check_positive_int
+from .errors import Frozen, InvalidParameterError, _shown, check_positive_int
 
 FractionLike = Union[Fraction, int, float, str]
 
@@ -87,8 +86,7 @@ def _secondary_lhs(alpha: Fraction, s1: int, s2: int) -> Fraction:
     return Fraction(1, s2) + alpha / s1
 
 
-@dataclass(frozen=True)
-class ChhParams:
+class ChhParams(Frozen):
     """Thresholds, tolerances, and table sizes for the two-dimensional sketch.
 
     ``phi1``/``phi2`` are the heavy-hitter fractions along the primary and
@@ -96,8 +94,10 @@ class ChhParams:
     ``s1``/``s2`` the outer and inner table capacities. Instances normally
     come from :func:`solve_params` (tolerances drive the sizes) or
     :meth:`ChhParams.from_raw` (sizes fixed, tolerances implied by them).
+    They are immutable, and every way of making one runs the range checks.
     """
 
+    __slots__ = ("phi1", "phi2", "eps1", "eps2", "s1", "s2")
     phi1: Fraction
     phi2: Fraction
     eps1: Fraction
@@ -105,11 +105,21 @@ class ChhParams:
     s1: int
     s2: int
 
-    def __post_init__(self):
-        parts = [self.s1, self.s2]
-        for field in ("phi1", "phi2", "eps1", "eps2"):
-            value = to_fraction(getattr(self, field), field)
-            object.__setattr__(self, field, value)
+    def __init__(
+        self,
+        phi1: FractionLike,
+        phi2: FractionLike,
+        eps1: FractionLike,
+        eps2: FractionLike,
+        s1: int,
+        s2: int,
+    ):
+        phi1, phi2, eps1, eps2 = fractions = [
+            to_fraction(value, name)
+            for name, value in zip(self.__slots__, (phi1, phi2, eps1, eps2))
+        ]
+        parts = [s1, s2]
+        for value in fractions:
             parts += value.as_integer_ratio()
         # Checked first: later messages and the snapshot print these integers.
         limit = sys.get_int_max_str_digits()
@@ -118,12 +128,13 @@ class ChhParams:
             raise InvalidParameterError(
                 f"s1, s2 and the terms of phi1, phi2, eps1, eps2 need at most {limit} digits"
             )
-        to_thresholds(self.phi1, self.phi2)
-        _check_eps1(self.eps1, self.phi1)
-        if self.eps2 <= 0:
-            raise InvalidParameterError(f"eps2 must be positive, got {self.eps2}")
-        check_positive_int(self.s1, "s1")
-        check_positive_int(self.s2, "s2")
+        to_thresholds(phi1, phi2)
+        _check_eps1(eps1, phi1)
+        if eps2 <= 0:
+            raise InvalidParameterError(f"eps2 must be positive, got {eps2}")
+        check_positive_int(s1, "s1")
+        check_positive_int(s2, "s2")
+        self._set(phi1, phi2, eps1, eps2, s1, s2)
 
     @classmethod
     def from_raw(

@@ -39,9 +39,8 @@ Besides the insert and the round, only `ChhSketch.restore` files keys.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from math import ceil
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import SnapshotFormatError
 from .mg import MgSummary
@@ -69,8 +68,7 @@ class PrimaryEntry:
         self.synced = outer_sweeps
 
 
-@dataclass(frozen=True)
-class ReportedPrimary:
+class ReportedPrimary(NamedTuple):
     """One reported heavy primary with its reported correlated secondaries."""
 
     key: bytes
@@ -78,8 +76,7 @@ class ReportedPrimary:
     secondaries: tuple[tuple[bytes, int], ...]
 
 
-@dataclass(frozen=True)
-class ChhReport:
+class ChhReport(NamedTuple):
     """Report output: heavy primaries, each nesting its heavy secondaries.
 
     Primaries are sorted by key, secondaries within each primary by key, so

@@ -15,11 +15,10 @@ loading it.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from itertools import chain
 from typing import TYPE_CHECKING, Iterator
 
-from .errors import InvalidParameterError, _shown, check_positive_int
+from .errors import Frozen, InvalidParameterError, _shown, check_positive_int
 
 if TYPE_CHECKING:
     import numpy as np
@@ -27,27 +26,41 @@ if TYPE_CHECKING:
 _CHUNK = 1 << 16
 
 
-@dataclass(frozen=True)
-class ZipfWorkloadSpec:
+class ZipfWorkloadSpec(Frozen):
     """Deterministic workload description; equal specs give equal streams."""
 
+    __slots__ = (
+        "tuple_count",
+        "primary_domain",
+        "secondary_domain",
+        "primary_skew",
+        "secondary_skew",
+        "seed",
+    )
     tuple_count: int
     primary_domain: int
     secondary_domain: int
-    primary_skew: float = 1.1
-    secondary_skew: float = 1.0
-    seed: int = 0
+    primary_skew: float
+    secondary_skew: float
+    seed: int
 
-    def __post_init__(self):
-        count = self.tuple_count
+    def __init__(
+        self,
+        tuple_count: int,
+        primary_domain: int,
+        secondary_domain: int,
+        primary_skew: float = 1.1,
+        secondary_skew: float = 1.0,
+        seed: int = 0,
+    ):
+        count = tuple_count
         if not isinstance(count, int) or isinstance(count, bool) or count < 0:
             raise InvalidParameterError(
                 f"tuple_count must be an integer >= 0, got {_shown(count)}"
             )
-        check_positive_int(self.primary_domain, "primary_domain")
-        check_positive_int(self.secondary_domain, "secondary_domain")
-        for name in ("primary_skew", "secondary_skew"):
-            skew = getattr(self, name)
+        check_positive_int(primary_domain, "primary_domain")
+        check_positive_int(secondary_domain, "secondary_domain")
+        for name, skew in (("primary_skew", primary_skew), ("secondary_skew", secondary_skew)):
             if (
                 not isinstance(skew, (int, float))
                 or isinstance(skew, bool)
@@ -56,9 +69,11 @@ class ZipfWorkloadSpec:
                 raise InvalidParameterError(
                     f"{name} must be a finite value >= 0, got {_shown(skew)}"
                 )
-        seed = self.seed
         if not isinstance(seed, int) or isinstance(seed, bool):
             raise InvalidParameterError(f"seed must be an integer, got {seed!r}")
+        self._set(
+            tuple_count, primary_domain, secondary_domain, primary_skew, secondary_skew, seed
+        )
 
 
 def zipf_probabilities(domain: int, skew: float) -> np.ndarray:

@@ -143,29 +143,29 @@ def test_bad_workload_plan_exits_two_before_any_run(monkeypatch, tmp_path, capsy
 
 
 def test_each_checkout_runs_under_its_own_fresh_bytecode_cache(monkeypatch, tmp_path):
+    # Both trees start with a stale cache; each child of a checkout writes one.
+    parent, change, out = tmp_path / "parent", tmp_path / "change", tmp_path / "bench.json"
+    for tree in (parent, change):
+        (tree / "src" / "__pycache__").mkdir(parents=True)
+    (change / "tools").mkdir()
+    (change / "BENCHMARK.json").write_text((_PATH.parents[1] / "BENCHMARK.json").read_text())
+    monkeypatch.setattr(bench_ab, "__file__", str(change / "tools" / "bench_ab.py"))
     calls = []
 
     def fake_run(command, cwd, env, **kwargs):
-        cache = Path(env["PYTHONPYCACHEPREFIX"])
-        calls.append((Path(cwd), cache, cache.is_dir() and not any(cache.iterdir()), env["MARK"]))
+        calls.append((Path(cwd), any(Path(cwd).rglob("__pycache__")), env))
+        (Path(cwd) / "src" / "__pycache__").mkdir(exist_ok=True)
         detail = {"detail": {"provenance": {"git_sha": "sha"}, "digests": {"csv": "d"}}}
         result = {"correct": True, "failed": 0, "metrics": {"evaluate_s": {"value": 1.0, "unit": "s"}}}
         return types.SimpleNamespace(stdout=json.dumps(detail) + "\n" + json.dumps(result) + "\n")
 
     monkeypatch.setattr(bench_ab.subprocess, "run", fake_run)
     monkeypatch.setenv("MARK", "passed through")
-    monkeypatch.delenv("PYTHONPYCACHEPREFIX", raising=False)
-    parent, out = tmp_path / "parent", tmp_path / "bench.json"
-    parent.mkdir()
+    monkeypatch.setenv("PYTHONPYCACHEPREFIX", str(tmp_path / "prefix"))
     assert bench_ab.main(["--parent", str(parent), "--out", str(out), "--pairs", "zipf=2"]) == 0
-    change = _PATH.parents[1]
     assert [cwd for cwd, *_ in calls] == [parent, change, change, parent]
-    assert all(empty and mark == "passed through" for *_, empty, mark in calls)
-    caches = {cwd: {cache for c, cache, *_ in calls if c == cwd} for cwd in (parent, change)}
-    assert all(len(paths) == 1 for paths in caches.values())
-    (parent_cache,), (change_cache,) = caches.values()
-    assert parent_cache != change_cache
-    for cache in (parent_cache, change_cache):
-        assert parent not in cache.parents and change not in cache.parents
-        assert not cache.exists()
+    # The first run of each side finds no cache; the second finds only its own.
+    assert [cached for _, cached, _ in calls] == [False, False, True, True]
+    assert all(env["MARK"] == "passed through" for *_, env in calls)
+    assert not any("PYTHONPYCACHEPREFIX" in env for *_, env in calls)
     assert json.loads(out.read_text())["digests_identical"] is True

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -187,8 +189,31 @@ def test_values_too_long_to_print_are_still_parameter_errors(call):
 def test_direct_construction_validates_ranges():
     with pytest.raises(InvalidParameterError):
         ChhParams(Fraction(1, 10), Fraction(1, 10), Fraction(1, 10), Fraction(1, 10), 10, 10)
+    for s1, s2, name in ((0, 20, "s1"), (440, 0, "s2"), (True, 20, "s1"), (440, 2.0, "s2")):
+        with pytest.raises(InvalidParameterError, match=name):
+            ChhParams("0.1", "0.1", "0.05", "0.1", s1=s1, s2=s2)
     params = ChhParams("0.1", "0.1", "0.05", "0.1", 440, 20)
     assert params.phi1 == Fraction(1, 10)
+
+
+def test_params_are_immutable_and_copies_pass_the_checks_again():
+    params = ChhParams("0.1", "0.1", "0.05", "0.1", 440, 20)
+    for name in ("s1", "phi1", "other"):
+        with pytest.raises(AttributeError):
+            setattr(params, name, 0)
+    with pytest.raises(AttributeError):
+        del params.s1
+    assert not hasattr(params, "_replace") and not hasattr(params, "_make")
+    for copied in (copy.copy(params), copy.deepcopy(params), pickle.loads(pickle.dumps(params))):
+        assert copied == params and hash(copied) == hash(params) and copied is not params
+    assert params != ChhParams("0.1", "0.1", "0.05", "0.1", 440, 21)
+    assert repr(params) == (
+        "ChhParams(phi1=Fraction(1, 10), phi2=Fraction(1, 10), eps1=Fraction(1, 20), "
+        "eps2=Fraction(1, 10), s1=440, s2=20)"
+    )
+    cls, args = params.__reduce__()
+    with pytest.raises(InvalidParameterError, match="s1"):
+        cls(*args[:4], 0, *args[5:])
 
 
 # Random rationals: min/(max + 1) lies in (0, 1), min/max in (0, 1].

@@ -1,5 +1,7 @@
+import copy
 import hashlib
 import math
+import pickle
 import subprocess
 import sys
 from collections import Counter
@@ -115,8 +117,21 @@ def test_invalid_specs_rejected():
                 spec(**{name: value})
 
 
+def test_spec_is_immutable_and_copies_pass_the_checks_again():
+    base = spec()
+    with pytest.raises(AttributeError):
+        base.seed = 1
+    assert pickle.loads(pickle.dumps(base)) == base and copy.deepcopy(base) == base
+    assert hash(spec()) == hash(base) and spec(seed=1) != base
+    cls, args = base.__reduce__()
+    with pytest.raises(InvalidParameterError, match="tuple_count"):
+        cls(-1, *args[1:])
+
+
 def test_package_and_cli_import_without_numpy():
-    code = "import sys, chh, chh.cli; sys.exit('numpy' in sys.modules)"
+    # `import chh` loads no submodule, so every exported name is resolved first.
+    code = ("import sys, chh, chh.cli; [getattr(chh, name) for name in chh.__all__]; "
+            "sys.exit('numpy' in sys.modules)")
     assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 

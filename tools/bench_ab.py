@@ -21,11 +21,14 @@ the change won; a metric only one side reports is listed under ``one_sided``.
 won at least nine tenths of the pairs, ties counting for neither, and its
 median beats the parent's by more than the parent's quartile spread.
 
-Every run of a checkout, and every process it starts, writes and reads its
-bytecode under ``PYTHONPYCACHEPREFIX``, set to a fresh directory the script
-makes for that checkout and removes at the end. So no ``__pycache__`` left in
-either tree is read, and both sides start from the same cold cache: when only
-one checkout held one, commands the change did not touch read as slower.
+Before the first run, every ``__pycache__`` directory under both checkouts
+is deleted, and the children run without ``PYTHONPYCACHEPREFIX``. So neither
+side reads a cache of its own code that the other lacks (when only one
+checkout held one, commands the change did not touch read as slower), and
+both read the standard library's own bytecode, as a direct run of
+``perfbench/run.py`` does. A fresh cache prefix would apply to the standard
+library too, and where bytecode is not written (``PYTHONDONTWRITEBYTECODE``)
+it never fills: every child would compile each stdlib module it imports.
 """
 
 from __future__ import annotations
@@ -33,18 +36,18 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
-import tempfile
 import time
 from pathlib import Path
 
 
-def run(checkout: Path, workload: str, seed: int, seconds: float, trace: int, pycache: Path) -> dict:
+def run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     command = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
                "--seconds", str(seconds), "--trace", str(trace)]
-    env = {**os.environ, "PYTHONPYCACHEPREFIX": str(pycache)}
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONPYCACHEPREFIX"}
     done = subprocess.run(command, cwd=checkout, env=env, capture_output=True, text=True, check=True)
     lines = done.stdout.strip().splitlines()
     return {"result": json.loads(lines[-1]), "detail": json.loads(lines[-2])["detail"]}
@@ -145,21 +148,20 @@ def main(argv=None) -> int:
 
     runs = [(name, i + 1, 0) for name, count in plan for i in range(count)]
     runs += [(name, 1, 1) for name in traced]
+    for checkout in checkouts.values():
+        for cache in list(checkout.rglob("__pycache__")):
+            shutil.rmtree(cache)
     pairs = []
-    with tempfile.TemporaryDirectory(prefix="bench_ab-") as scratch:
-        pycache = {side: Path(scratch) / side for side in checkouts}
-        for path in pycache.values():
-            path.mkdir()
-        for index, (workload, seed, trace) in enumerate(runs):
-            order = ("parent", "change") if index % 2 == 0 else ("change", "parent")
-            pair = {"workload": workload, "seed": seed, "trace": trace, "first": order[0]}
-            for side in order:
-                pair[side] = run(checkouts[side], workload, seed, seconds, trace, pycache[side])
-            if trace == 0:
-                pair["digests_identical"] = pair["parent"]["detail"]["digests"] == pair["change"]["detail"]["digests"]
-            pairs.append(pair)
-            print(f"{time.strftime('%H:%M:%S')} pair {index + 1}/{len(runs)}: {workload} seed {seed}"
-                  f" trace {trace}", file=sys.stderr)
+    for index, (workload, seed, trace) in enumerate(runs):
+        order = ("parent", "change") if index % 2 == 0 else ("change", "parent")
+        pair = {"workload": workload, "seed": seed, "trace": trace, "first": order[0]}
+        for side in order:
+            pair[side] = run(checkouts[side], workload, seed, seconds, trace)
+        if trace == 0:
+            pair["digests_identical"] = pair["parent"]["detail"]["digests"] == pair["change"]["detail"]["digests"]
+        pairs.append(pair)
+        print(f"{time.strftime('%H:%M:%S')} pair {index + 1}/{len(runs)}: {workload} seed {seed}"
+              f" trace {trace}", file=sys.stderr)
 
     args.out.write_text(json.dumps(record(pairs, seconds, better), indent=1, sort_keys=True) + "\n")
     return 0
